@@ -12,7 +12,7 @@ coverage (linker), plus a read simulator and recall/precision scoring.
 
 from .bitrank import RankBitVector
 from .bits import DEFAULT_SEED
-from .core import NOT_FOUND, QuasiDictionary, ValueStore, fingerprint
+from .core import NOT_FOUND, QuasiDictionary, fingerprint
 from .counter import CountStats, CounterIndex, build_counter_index, count_read
 from .evaluation import GroundTruth, SimConfig, score, simulate
 from .kcount import SolidKmerTable, count_solid
@@ -30,7 +30,6 @@ __all__ = [
     "Mphf",
     "DuplicateKeyError",
     "QuasiDictionary",
-    "ValueStore",
     "fingerprint",
     "NonNucleotideError",
     "encode",

@@ -1,10 +1,10 @@
 """Packed bit vector with constant-time rank-of-ones.
 
 The vector stores one cumulative popcount sample per 512-bit block
-(12.5% overhead) plus a trailing total, so ``rank1(i)`` costs one sample
-read, at most seven word popcounts and one masked popcount. A batched
-``rank1_array`` answers many positions at once with the same arithmetic
-vectorized over numpy arrays.
+(12.5% overhead) plus a trailing total, and in memory a uint16 count of
+the ones before each word inside its block. ``rank1_array`` answers many
+positions at once as block sample + in-block word count + one masked
+word popcount; the scalar methods call the array ones.
 """
 
 from __future__ import annotations
@@ -13,18 +13,16 @@ import struct
 
 import numpy as np
 
-from .bits import U64, pack_bool_to_words, popcount64
+from .bits import U64, check_room, pack_bool_to_words
 
 BLOCK_BITS = 512
 WORDS_PER_BLOCK = BLOCK_BITS // 64
-
-_RANK_CHUNK = 1 << 17
 
 
 class RankBitVector:
     """Immutable bit array of length ``n_bits`` answering rank1 queries."""
 
-    __slots__ = ("words", "n_bits", "samples", "_wmat", "n_ones")
+    __slots__ = ("words", "n_bits", "samples", "in_block", "n_ones")
 
     def __init__(self, words: np.ndarray, n_bits: int):
         words = np.ascontiguousarray(words, dtype=np.uint64)
@@ -38,12 +36,12 @@ class RankBitVector:
         self.words = words
         self.n_bits = n_bits
         n_blocks = (n_words + WORDS_PER_BLOCK - 1) // WORDS_PER_BLOCK
-        padded = np.zeros(n_blocks * WORDS_PER_BLOCK, dtype=np.uint64)
-        padded[:n_words] = words
-        self._wmat = padded.reshape(n_blocks, WORDS_PER_BLOCK)
-        per_word = popcount64(padded).astype(np.int64)
-        block_totals = per_word.reshape(n_blocks, WORDS_PER_BLOCK).sum(axis=1)
-        self.samples = np.concatenate([[0], np.cumsum(block_totals)]).astype(np.int64)
+        per_word = np.zeros(n_blocks * WORDS_PER_BLOCK, dtype=np.uint16)
+        per_word[:n_words] = np.bitwise_count(words)
+        per_word = per_word.reshape(n_blocks, WORDS_PER_BLOCK)
+        through = np.cumsum(per_word, axis=1, dtype=np.uint16)  # at most 512
+        self.in_block = (through - per_word).ravel()[:n_words]  # at most 448
+        self.samples = np.concatenate([[0], np.cumsum(through[:, -1], dtype=np.int64)])
         self.n_ones = int(self.samples[-1])
 
     @classmethod
@@ -59,7 +57,7 @@ class RankBitVector:
         """Bit at position ``i``."""
         if not 0 <= i < self.n_bits:
             raise ValueError(f"bit index {i} out of range [0, {self.n_bits})")
-        return int((self.words[i >> 6] >> U64(i & 63)) & U64(1))
+        return int(self.get_array(np.array([i], dtype=np.int64))[0])
 
     def get_array(self, pos: np.ndarray) -> np.ndarray:
         """Bits at positions ``pos`` (each in [0, n_bits)), as a bool array."""
@@ -73,34 +71,14 @@ class RankBitVector:
             raise ValueError(f"rank position {i} out of range [0, {self.n_bits}]")
         if i == self.n_bits:
             return self.n_ones
-        block = i >> 9
-        word = i >> 6
-        r = int(self.samples[block])
-        for w in range(block * WORDS_PER_BLOCK, word):
-            r += int(self.words[w]).bit_count()
-        partial = int(self.words[word]) & ((1 << (i & 63)) - 1)
-        return r + partial.bit_count()
+        return int(self.rank1_array(np.array([i], dtype=np.int64))[0])
 
     def rank1_array(self, pos: np.ndarray) -> np.ndarray:
-        """Vectorized rank1 for positions in [0, n_bits)."""
-        out = np.empty(len(pos), dtype=np.int64)
-        for s in range(0, len(pos), _RANK_CHUNK):
-            out[s : s + _RANK_CHUNK] = self._rank_chunk(pos[s : s + _RANK_CHUNK])
-        return out
-
-    def _rank_chunk(self, pos: np.ndarray) -> np.ndarray:
+        """Vectorized rank1 for positions in [0, n_bits), as int64."""
         p = pos.astype(np.int64, copy=False)
-        blk = p >> 9
-        W = self._wmat[blk]
-        counts = popcount64(W).astype(np.int32)
-        within = (p >> 6) & 7
-        csum = np.cumsum(counts, axis=1, dtype=np.int32)
-        before = np.take_along_axis(csum, np.maximum(within - 1, 0)[:, None], axis=1)[:, 0]
-        before = np.where(within > 0, before, 0)
-        target = np.take_along_axis(W, within[:, None], axis=1)[:, 0]
-        mask = (U64(1) << (p.astype(np.uint64) & U64(63))) - U64(1)
-        partial = popcount64(target & mask).astype(np.int32)
-        return self.samples[blk] + before + partial
+        w = p >> 6
+        below = (U64(1) << (p & 63).astype(np.uint64)) - U64(1)
+        return self.samples[p >> 9] + self.in_block[w] + np.bitwise_count(self.words[w] & below)
 
     def size_in_bits(self) -> int:
         """Serialized footprint: packed words plus one rank sample per block."""
@@ -119,10 +97,13 @@ class RankBitVector:
 
     @classmethod
     def deserialize(cls, buf: bytes, offset: int = 0) -> tuple["RankBitVector", int]:
+        """Inverse of :meth:`serialize`; ValueError on a short buffer."""
+        check_room(buf, offset, 8)
         (n_bits,) = struct.unpack_from("<Q", buf, offset)
         offset += 8
         n_words = (n_bits + 63) // 64
         n_samples = (n_words + WORDS_PER_BLOCK - 1) // WORDS_PER_BLOCK
+        check_room(buf, offset, 8 * (n_words + n_samples))
         words = np.frombuffer(buf, dtype="<u8", count=n_words, offset=offset)
         offset += 8 * n_words
         # samples are recomputed by the constructor; skip over them

@@ -1,9 +1,8 @@
-"""Low-level 64-bit helpers: popcount, avalanche mixing, bit packing.
+"""Low-level 64-bit helpers: avalanche mixing, bit packing, bounds checks.
 
-Everything here exists in two flavours: a numpy path operating on uint64
-arrays (the hot path) and a plain-int path for scalar use. numpy scalar
-uint64 arithmetic emits overflow warnings, so scalars go through Python
-ints masked to 64 bits instead.
+Everything operates on numpy uint64 arrays; a scalar goes through a
+one-element array (see :func:`key_array`). numpy scalar uint64 arithmetic
+emits overflow warnings where array arithmetic wraps silently.
 """
 
 from __future__ import annotations
@@ -23,22 +22,10 @@ SEED_STREAM_INCREMENT = 0x9E3779B97F4A7C15
 
 DEFAULT_SEED = 0xA24BAED4963EE407
 
-_HAS_BITWISE_COUNT = hasattr(np, "bitwise_count")
-if not _HAS_BITWISE_COUNT:  # numpy < 2.0
-    _POP16 = np.array([bin(i).count("1") for i in range(1 << 16)], dtype=np.uint8)
 
-
-def popcount64(words: np.ndarray) -> np.ndarray:
-    """Per-element popcount of a uint64 array, as uint8."""
-    if _HAS_BITWISE_COUNT:
-        return np.bitwise_count(words)
-    w = words
-    return (
-        _POP16[(w & U64(0xFFFF)).astype(np.int64)]
-        + _POP16[((w >> U64(16)) & U64(0xFFFF)).astype(np.int64)]
-        + _POP16[((w >> U64(32)) & U64(0xFFFF)).astype(np.int64)]
-        + _POP16[(w >> U64(48)).astype(np.int64)]
-    )
+def key_array(key: int) -> np.ndarray:
+    """One-element uint64 array holding ``key`` reduced to 64 bits."""
+    return np.array([int(key) & MASK64], dtype=np.uint64)
 
 
 def mix64(x: np.ndarray) -> np.ndarray:
@@ -51,20 +38,9 @@ def mix64(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def mix64_int(x: int) -> int:
-    """Scalar twin of :func:`mix64`, exact on Python ints."""
-    x &= MASK64
-    x ^= x >> 30
-    x = (x * MIX_MULT_1) & MASK64
-    x ^= x >> 27
-    x = (x * MIX_MULT_2) & MASK64
-    x ^= x >> 31
-    return x
-
-
 def derive_seed(master_seed: int, index: int) -> int:
     """Deterministic seed stream: distinct 64-bit seed per (master, index)."""
-    return mix64_int(master_seed + (index + 1) * SEED_STREAM_INCREMENT)
+    return int(mix64(key_array(master_seed + (index + 1) * SEED_STREAM_INCREMENT))[0])
 
 
 def pack_bool_to_words(bits: np.ndarray) -> np.ndarray:
@@ -80,3 +56,9 @@ def words_to_bool(words: np.ndarray, n_bits: int) -> np.ndarray:
     """Inverse of :func:`pack_bool_to_words` (used by oracles and tests)."""
     as_bytes = np.frombuffer(np.ascontiguousarray(words).tobytes(), dtype=np.uint8)
     return np.unpackbits(as_bytes, bitorder="little")[:n_bits].astype(bool)
+
+
+def check_room(buf, offset: int, n_bytes: int) -> None:
+    """Raise ValueError unless ``buf`` holds ``n_bytes`` bytes from ``offset`` on."""
+    if offset + n_bytes > len(buf):
+        raise ValueError(f"truncated input: {offset + n_bytes} bytes needed, {len(buf)} present")

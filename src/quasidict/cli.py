@@ -186,11 +186,18 @@ def _distinct_random_codes(n: int, width_bits: int, rng: np.random.Generator) ->
 def stats_run(args) -> dict:
     """'stats' engine; returns the measurements so tests can assert on them."""
     rng = np.random.default_rng(args.seed)
+    n_codes = 1 << (2 * args.k)
     if args.b is not None:
         table = count_solid(open_reads(args.b), args.k, args.t)
         keys = table.codes
     else:
+        if not 0 <= args.random_keys <= n_codes:
+            raise ValueError(f"--random-keys must be in [0, 4^k = {n_codes}], got {args.random_keys}")
         keys = _distinct_random_codes(args.random_keys, 2 * args.k, rng)
+    if not 0 <= args.probes <= n_codes - len(keys):
+        raise ValueError(
+            f"--probes must be in [0, 4^k - keys = {n_codes - len(keys)}], got {args.probes}"
+        )
 
     t0 = time.perf_counter()
     qd = QuasiDictionary.create(keys, f=args.f, gamma=args.gamma, k=args.k, seed=args.seed)

@@ -20,19 +20,12 @@ import struct
 
 import numpy as np
 
-from .bits import (
-    DEFAULT_SEED,
-    MASK64,
-    MIX_MULT_1,
-    MIX_MULT_2,
-    U64,
-    mix64,
-    mix64_int,
-)
+from .bits import DEFAULT_SEED, MASK64, MIX_MULT_1, MIX_MULT_2, U64, check_room, key_array, mix64
 from .mphf import NOT_FOUND, Mphf
 
 _MAGIC = b"QDIC"
 _VERSION = 1
+_HEAD = struct.Struct("<4sIQIIQQQQ")
 
 # domain tag separating the fingerprint hash from every level hash
 _FINGERPRINT_TAG = 0x27D4EB2F165667C5
@@ -50,7 +43,7 @@ def _fp_mask(f: int) -> int:
 
 
 def _fp_seed(seed: int) -> int:
-    return mix64_int(seed ^ _FINGERPRINT_TAG)
+    return int(mix64(key_array(seed ^ _FINGERPRINT_TAG))[0])
 
 
 def fingerprint(key: int, f: int, k: int = 31, seed: int = DEFAULT_SEED) -> int:
@@ -60,11 +53,7 @@ def fingerprint(key: int, f: int, k: int = 31, seed: int = DEFAULT_SEED) -> int:
     except at f == 2k, where the raw key code is returned so that distinct
     k-mers can never share a fingerprint.
     """
-    _check_f(f)
-    key = int(key) & MASK64
-    if f == 2 * k:
-        return key & _fp_mask(f)
-    return mix64_int(key ^ _fp_seed(seed)) & _fp_mask(f)
+    return int(fingerprint_array(key_array(key), f, k, seed)[0])
 
 
 def fingerprint_array(keys: np.ndarray, f: int, k: int = 31, seed: int = DEFAULT_SEED) -> np.ndarray:
@@ -135,13 +124,7 @@ class QuasiDictionary:
 
     def query(self, key: int) -> int:
         """Dense index for an indexed key; -1 for (most) everything else."""
-        idx = self.mphf.lookup(key)
-        if idx == NOT_FOUND:
-            return NOT_FOUND
-        stored = int(self._stored_fingerprints(np.array([idx], dtype=np.int64))[0])
-        if stored == fingerprint(key, self.f, self.k, self.seed):
-            return idx
-        return NOT_FOUND
+        return int(self.query_array(key_array(key))[0])
 
     def query_array(self, keys: np.ndarray) -> np.ndarray:
         """Vectorized :meth:`query`; int64 indices with -1 where rejected."""
@@ -166,8 +149,7 @@ class QuasiDictionary:
 
     def serialize(self) -> bytes:
         mphf_blob = self.mphf.serialize()
-        head = struct.pack(
-            "<4sIQIIQQQQ",
+        head = _HEAD.pack(
             _MAGIC,
             _VERSION,
             self.n_keys,
@@ -192,38 +174,20 @@ class QuasiDictionary:
 
     @classmethod
     def deserialize(cls, buf: bytes) -> "QuasiDictionary":
-        fmt = "<4sIQIIQQQQ"
-        magic, version, n_keys, f, k, m1, m2, seed, mphf_len = struct.unpack_from(fmt, buf, 0)
+        """Inverse of :meth:`serialize`; ValueError on a short, long or inconsistent buffer."""
+        check_room(buf, 0, _HEAD.size)
+        magic, version, n_keys, f, k, m1, m2, seed, mphf_len = _HEAD.unpack_from(buf, 0)
         if magic != _MAGIC:
             raise ValueError("not a quasi-dictionary index file")
         if version != _VERSION:
             raise ValueError(f"unsupported index version {version}")
         if (m1, m2) != (MIX_MULT_1, MIX_MULT_2):
             raise ValueError("index built with different mixer constants")
-        offset = struct.calcsize(fmt)
-        mphf, offset = Mphf.deserialize(buf, offset)
+        mphf, offset = Mphf.deserialize(buf, _HEAD.size)
+        if offset != _HEAD.size + mphf_len:
+            raise ValueError(f"perfect hash spans {offset - _HEAD.size} bytes, header says {mphf_len}")
         n_words = (n_keys * f + 63) // 64
+        if offset + 8 * n_words != len(buf):
+            raise ValueError(f"expected {offset + 8 * n_words} bytes, got {len(buf)}")
         fg = np.frombuffer(buf, dtype="<u8", count=n_words, offset=offset)
         return cls(mphf, fg, n_keys, f, k, seed)
-
-
-class ValueStore:
-    """N fixed-width value slots addressed by dense index."""
-
-    def __init__(self, n: int, dtype=np.uint8):
-        self.slots = np.zeros(n, dtype=dtype)
-
-    def __len__(self) -> int:
-        return len(self.slots)
-
-    def _check(self, index: int) -> None:
-        if not 0 <= index < len(self.slots):
-            raise IndexError(f"slot {index} out of range [0, {len(self.slots)})")
-
-    def get(self, index: int):
-        self._check(index)
-        return self.slots[index].item()
-
-    def set(self, index: int, value) -> None:
-        self._check(index)
-        self.slots[index] = value

@@ -16,7 +16,7 @@ from typing import Iterable, Optional, TextIO
 import numpy as np
 
 from .bits import DEFAULT_SEED
-from .core import QuasiDictionary, ValueStore
+from .core import QuasiDictionary
 from .kcount import count_solid
 from .kmer import scan_kmers
 from .seqio import ReadRecord, open_reads
@@ -37,9 +37,9 @@ class CountStats:
 class CounterIndex:
     """Quasi-dictionary over a bank's solid k-mers plus per-k-mer counts."""
 
-    def __init__(self, qd: QuasiDictionary, counts: ValueStore, k: int, t: int):
+    def __init__(self, qd: QuasiDictionary, counts: np.ndarray, k: int, t: int):
         self.qd = qd
-        self.counts = counts
+        self.counts = counts  # uint8, indexed by dense slot
         self.k = k
         self.t = t
 
@@ -55,11 +55,9 @@ def build_counter_index(
     """Index the bank's solid k-mers; each slot stores the k-mer's count."""
     table = count_solid(open_reads(bank_path), k, t)
     qd = QuasiDictionary.create(table.codes, f=f, gamma=gamma, k=k, seed=seed)
-    store = ValueStore(len(table), dtype=np.uint8)
-    if len(table):
-        slots = qd.query_array(table.codes)
-        store.slots[slots] = table.counts
-    return CounterIndex(qd, store, k, t)
+    counts = np.zeros(len(table), dtype=np.uint8)
+    counts[qd.query_array(table.codes)] = table.counts
+    return CounterIndex(qd, counts, k, t)
 
 
 def count_read(index: CounterIndex, read: ReadRecord) -> Optional[CountStats]:
@@ -72,7 +70,7 @@ def count_read(index: CounterIndex, read: ReadRecord) -> Optional[CountStats]:
     n = int(hit.sum())
     if n == 0:
         return None
-    values = index.counts.slots[slots[hit]].astype(np.int64)
+    values = index.counts[slots[hit]].astype(np.int64)
     ordered = np.sort(values)
     return CountStats(
         read_id=read.id,

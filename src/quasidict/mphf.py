@@ -18,7 +18,7 @@ import struct
 import numpy as np
 
 from .bitrank import RankBitVector
-from .bits import DEFAULT_SEED, MASK64, U64, derive_seed, mix64, mix64_int
+from .bits import DEFAULT_SEED, U64, check_room, derive_seed, key_array, mix64
 
 NOT_FOUND = -1
 MAX_LEVELS = 64
@@ -29,6 +29,7 @@ FALLBACK_CUTOFF = 4
 
 _MAGIC = b"MPHF"
 _VERSION = 1
+_HEAD = struct.Struct("<4sIQdQI")
 
 
 class DuplicateKeyError(ValueError):
@@ -46,12 +47,13 @@ def _level_size(gamma: float, n: int) -> int:
 class Mphf:
     """Minimal perfect hash for a fixed key set; immutable once constructed."""
 
-    def __init__(self, levels, seeds, offsets, fallback_keys, n_keys, gamma, seed):
+    def __init__(self, levels, fallback_keys, n_keys, gamma, seed):
         self.levels: list[RankBitVector] = levels
-        self.seeds: list[int] = seeds
-        self.offsets: list[int] = offsets  # dense-index base per level
+        self.seeds: list[int] = [derive_seed(seed, level) for level in range(len(levels))]
+        # dense-index base per level, then of the fallback keys
+        self.offsets: list[int] = np.cumsum([0] + [bv.n_ones for bv in levels]).tolist()
         self.fallback_keys: np.ndarray = fallback_keys  # sorted uint64
-        self.fallback_base: int = offsets[-1] if offsets else 0
+        self.fallback_base: int = self.offsets[-1]
         self.n_keys = n_keys
         self.gamma = gamma
         self.seed = seed
@@ -72,7 +74,6 @@ class Mphf:
                 raise DuplicateKeyError(int(ordered[dup[0]]))
 
         levels: list[RankBitVector] = []
-        seeds: list[int] = []
         remaining = keys
         for level in range(MAX_LEVELS):
             if remaining.size <= FALLBACK_CUTOFF:
@@ -83,17 +84,9 @@ class Mphf:
             hits = np.bincount(pos, minlength=size)
             alone = hits == 1
             levels.append(RankBitVector.build(alone))
-            seeds.append(level_seed)
             remaining = remaining[~alone[pos]]
 
-        offsets = []
-        base = 0
-        for bv in levels:
-            offsets.append(base)
-            base += bv.n_ones
-        offsets.append(base)
-
-        out = cls(levels, seeds, offsets, np.sort(remaining), n, float(gamma), seed)
+        out = cls(levels, np.sort(remaining), n, float(gamma), seed)
         if gamma == 2.0 and n >= 10_000:
             bpk = out.bits_per_key()
             if bpk > 4.0:
@@ -102,16 +95,7 @@ class Mphf:
 
     def lookup(self, key: int) -> int:
         """Dense index of ``key``, or NOT_FOUND (-1)."""
-        k = int(key) & MASK64
-        for bv, level_seed, off in zip(self.levels, self.seeds, self.offsets):
-            pos = mix64_int(k ^ level_seed) % bv.n_bits
-            if bv.get(pos):
-                return off + bv.rank1(pos)
-        if len(self.fallback_keys):
-            loc = int(np.searchsorted(self.fallback_keys, U64(k)))
-            if loc < len(self.fallback_keys) and int(self.fallback_keys[loc]) == k:
-                return self.fallback_base + loc
-        return NOT_FOUND
+        return int(self.lookup_array(key_array(key))[0])
 
     def lookup_array(self, keys: np.ndarray) -> np.ndarray:
         """Vectorized lookup; int64 array of dense indices, -1 where NOT_FOUND."""
@@ -142,8 +126,7 @@ class Mphf:
         return len(self.serialize()) * 8 / max(self.n_keys, 1)
 
     def serialize(self) -> bytes:
-        head = struct.pack(
-            "<4sIQdQI",
+        head = _HEAD.pack(
             _MAGIC,
             _VERSION,
             self.n_keys,
@@ -168,28 +151,22 @@ class Mphf:
 
     @classmethod
     def deserialize(cls, buf: bytes, offset: int = 0) -> tuple["Mphf", int]:
-        magic, version, n_keys, gamma, seed, n_levels = struct.unpack_from(
-            "<4sIQdQI", buf, offset
-        )
+        """Inverse of :meth:`serialize`; ValueError on a short buffer."""
+        check_room(buf, offset, _HEAD.size)
+        magic, version, n_keys, gamma, seed, n_levels = _HEAD.unpack_from(buf, offset)
         if magic != _MAGIC:
             raise ValueError("not a serialized perfect-hash structure")
         if version != _VERSION:
             raise ValueError(f"unsupported version {version}")
-        offset += struct.calcsize("<4sIQdQI")
+        offset += _HEAD.size
         levels = []
         for _ in range(n_levels):
             bv, offset = RankBitVector.deserialize(buf, offset)
             levels.append(bv)
+        check_room(buf, offset, 8)
         (n_fallback,) = struct.unpack_from("<Q", buf, offset)
         offset += 8
+        check_room(buf, offset, 16 * n_fallback)
         pairs = np.frombuffer(buf, dtype="<u8", count=2 * n_fallback, offset=offset)
         offset += 16 * n_fallback
-        fallback_keys = pairs[0::2].copy()
-        seeds = [derive_seed(seed, level) for level in range(n_levels)]
-        offsets = []
-        base = 0
-        for bv in levels:
-            offsets.append(base)
-            base += bv.n_ones
-        offsets.append(base)
-        return cls(levels, seeds, offsets, fallback_keys, n_keys, gamma, seed), offset
+        return cls(levels, pairs[0::2].copy(), n_keys, gamma, seed), offset

@@ -100,6 +100,9 @@ def test_serialize_roundtrip():
         assert w.n_bits == v.n_bits
         assert (w.words == v.words).all()
         assert w.rank1(n) == v.rank1(n)
+        for cut in range(len(blob)):
+            with pytest.raises(ValueError):
+                RankBitVector.deserialize(blob[:cut])
 
 
 def test_unaligned_tail_is_masked():

@@ -191,6 +191,30 @@ def test_stats_from_bank_file(small_data, capsys):
     assert "construction time" in out and "mphf bits/key" in out
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--random-keys", "5", "-k", "1"],  # more keys than 4^k codes
+        ["--random-keys", "4", "-k", "1", "--probes", "10"],  # no code left to probe
+        ["--random-keys", "-1"],
+        ["--random-keys", "10", "--probes", "-3"],
+    ],
+)
+def test_stats_impossible_request_is_one_line_error(argv, capsys):
+    assert main(["stats", *argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("qd stats: error: ") and err.count("\n") == 1
+
+
+def test_stats_from_bank_rejects_too_many_probes(small_data, capsys):
+    # k = 1 leaves two canonical codes in the bank and two to probe
+    argv = ["stats", "-b", small_data["bank"], "-k", "1", "-t", "1"]
+    assert main([*argv, "--probes", "3"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("qd stats: error: --probes") and err.count("\n") == 1
+    assert main([*argv, "--probes", "2"]) == 0
+
+
 def test_cli_deterministic_across_runs_and_threads(small_data):
     args = ["-b", small_data["bank"], "-q", small_data["fof"], "-k", "11", "-t", "1", "--seed", "9"]
     outs = []

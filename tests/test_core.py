@@ -1,5 +1,8 @@
 """Quasi-dictionary behavior: no false negatives, bounded false positives,
-exact mode at f = 2k, packed fingerprint accounting, value slots."""
+exact mode at f = 2k, packed fingerprint accounting, pinned index bytes."""
+
+import hashlib
+import struct
 
 import numpy as np
 import pytest
@@ -7,7 +10,6 @@ import pytest
 from quasidict.core import (
     NOT_FOUND,
     QuasiDictionary,
-    ValueStore,
     _pack_entries,
     fingerprint,
     fingerprint_array,
@@ -160,6 +162,22 @@ def test_serialize_roundtrip():
     assert back.serialize() == blob
 
 
+def test_deserialize_rejects_truncated_padded_or_inconsistent_input():
+    qd = QuasiDictionary.create(distinct_codes(300, seed=15), f=12)
+    blob = qd.serialize()
+    for cut in range(len(blob)):
+        with pytest.raises(ValueError):
+            QuasiDictionary.deserialize(blob[:cut])
+    with pytest.raises(ValueError):
+        QuasiDictionary.deserialize(blob + b"\0")
+    mphf_len = len(qd.mphf.serialize())
+    for wrong in (mphf_len + 999, mphf_len - 8):
+        # the mphf_len field is the header's last 8 bytes
+        bad = blob[:48] + struct.pack("<Q", wrong) + blob[56:]
+        with pytest.raises(ValueError):
+            QuasiDictionary.deserialize(bad)
+
+
 def test_save_load_file(tmp_path):
     keys = distinct_codes(3000, seed=14)
     qd = QuasiDictionary.create(keys, f=12)
@@ -182,36 +200,21 @@ def test_create_rejects_bad_f():
         QuasiDictionary.create(np.array([1], dtype=np.uint64), f=0)
 
 
-# ---------------------------------------------------------------- value store
+# ---------------------------------------------------------------- index format
 
 
-def test_value_store_set_get():
-    store = ValueStore(10)
-    store.set(3, 7)
-    assert store.get(3) == 7
-
-
-def test_value_store_starts_zeroed():
-    store = ValueStore(100)
-    assert (store.slots == 0).all()
-
-
-def test_value_store_bounds_checked():
-    store = ValueStore(4)
-    with pytest.raises(IndexError):
-        store.get(4)
-    with pytest.raises(IndexError):
-        store.set(-1, 3)
-
-
-def test_value_store_independent_slots():
-    rng = np.random.default_rng(12)
-    store = ValueStore(500, dtype=np.int64)
-    reference = {}
-    for _ in range(2000):
-        i = int(rng.integers(0, 500))
-        v = int(rng.integers(0, 1 << 40))
-        store.set(i, v)
-        reference[i] = v
-    for i, v in reference.items():
-        assert store.get(i) == v
+@pytest.mark.parametrize(
+    "f, n_bytes, digest",
+    [
+        (12, 98_596, "dc147ec7d529fc9b321776954cafbce1bf862919e334f9e66ef4e72011441b3b"),
+        (62, 411_100, "9cc78010f6b6712ac98d0ffda55d67e1ec313bf74d7128f5fc54c3e6f56a2e05"),
+    ],
+)
+def test_serialized_bytes_are_pinned(f, n_bytes, digest):
+    # any change to hashing, packing or layout changes these bytes; a
+    # rewrite of the query path must leave them alone
+    rng = np.random.default_rng(2024)
+    keys = np.unique(rng.integers(0, 1 << 62, size=50_000, dtype=np.uint64))
+    blob = QuasiDictionary.create(keys, f=f, k=31).serialize()
+    assert len(blob) == n_bytes
+    assert hashlib.sha256(blob).hexdigest() == digest

@@ -52,7 +52,7 @@ def test_single_read_bank(tmp_path):
     bank = write_fasta(tmp_path / "b.fa", ["ACCGT"])
     index = build_counter_index(bank, k=4, t=1, f=12)
     assert index.qd.n_keys == 2
-    assert sorted(index.counts.slots.tolist()) == [1, 1]
+    assert sorted(index.counts.tolist()) == [1, 1]
 
 
 def test_repeated_kmer_count(tmp_path):

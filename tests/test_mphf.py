@@ -84,6 +84,9 @@ def test_serialize_roundtrip():
     assert end == len(blob)
     assert (back.lookup_array(keys) == m.lookup_array(keys)).all()
     assert back.serialize() == blob
+    for cut in range(len(blob)):
+        with pytest.raises(ValueError):
+            Mphf.deserialize(blob[:cut])
 
 
 def test_bits_per_key_monotone_in_gamma():

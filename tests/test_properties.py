@@ -1,0 +1,115 @@
+"""Property tests on arbitrary inputs: rank against a prefix-sum oracle,
+perfect-hash bijectivity, and the scalar wrappers against the array path
+and against a plain-int reference walk of the structure."""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+from quasidict.bitrank import RankBitVector
+from quasidict.bits import (
+    MASK64,
+    MIX_MULT_1,
+    MIX_MULT_2,
+    SEED_STREAM_INCREMENT,
+    derive_seed,
+    words_to_bool,
+)
+from quasidict.core import (
+    _FINGERPRINT_TAG,
+    QuasiDictionary,
+    _fp_mask,
+    fingerprint,
+    fingerprint_array,
+)
+from quasidict.mphf import FALLBACK_CUTOFF, NOT_FOUND, Mphf
+
+MAX_U64 = 2**64 - 1
+u64 = st.integers(0, MAX_U64)
+
+
+def mix64_reference(x):
+    """splitmix64 finalizer on Python ints."""
+    x ^= x >> 30
+    x = (x * MIX_MULT_1) & MASK64
+    x ^= x >> 27
+    x = (x * MIX_MULT_2) & MASK64
+    return x ^ (x >> 31)
+
+
+def lookup_reference(m, key):
+    """Level-by-level walk of an Mphf with Python ints and a bool copy of each level."""
+    for bv, seed, off in zip(m.levels, m.seeds, m.offsets):
+        bits = words_to_bool(bv.words, bv.n_bits)
+        pos = mix64_reference(key ^ seed) % bv.n_bits
+        if bits[pos]:
+            return off + int(bits[:pos].sum())
+    fallback = m.fallback_keys.tolist()
+    return m.fallback_base + fallback.index(key) if key in fallback else NOT_FOUND
+
+
+@st.composite
+def bit_arrays(draw):
+    """Bool arrays whose lengths straddle word (64) and block (512) boundaries."""
+    n = max(0, draw(st.sampled_from([0, 64, 512, 1024, 1536])) + draw(st.integers(-2, 2)))
+    if draw(st.booleans()):
+        return draw(arrays(np.bool_, n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return rng.random(n) < draw(st.floats(0.0, 1.0))
+
+
+@settings(deadline=None, max_examples=150)
+@given(bit_arrays())
+def test_rank_and_get_match_prefix_oracle(bits):
+    v = RankBitVector.build(bits)
+    prefix = np.concatenate([[0], np.cumsum(bits, dtype=np.int64)])
+    pos = np.arange(len(bits))
+    assert (v.rank1_array(pos) == prefix[:-1]).all()
+    assert (v.get_array(pos) == bits).all()
+    assert v.rank1(len(bits)) == prefix[-1] == v.n_ones
+    for i in {0, len(bits) // 2, len(bits) - 1} if len(bits) else ():
+        assert v.rank1(i) == prefix[i]
+        assert v.get(i) == int(bits[i])
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.sets(u64, max_size=300), st.booleans())
+def test_mphf_is_a_bijection(keyset, with_extremes):
+    if with_extremes:
+        keyset |= {0, MAX_U64}
+    keys = np.array(sorted(keyset), dtype=np.uint64)
+    m = Mphf.construct(keys)
+    assert sorted(m.lookup_array(keys).tolist()) == list(range(len(keys)))
+    if len(keys) <= FALLBACK_CUTOFF:
+        assert m.levels == [] and len(m.fallback_keys) == len(keys)
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    st.sets(u64, min_size=1, max_size=200),
+    st.lists(u64, max_size=20),
+    st.integers(1, 64),
+    st.integers(1, 32),
+)
+def test_scalar_wrappers_equal_array_path_and_reference(keyset, probes, f, k):
+    keys = sorted(keyset)
+    qd = QuasiDictionary.create(np.array(keys, dtype=np.uint64), f=f, k=k)
+    batch = keys + probes
+    arr = np.array(batch, dtype=np.uint64)
+    lookups = [qd.mphf.lookup(x) for x in batch]
+    assert lookups == qd.mphf.lookup_array(arr).tolist()
+    assert lookups == [lookup_reference(qd.mphf, x) for x in batch]
+    assert [qd.query(x) for x in batch] == qd.query_array(arr).tolist()
+    fps = [fingerprint(x, f, k) for x in batch]
+    assert fps == fingerprint_array(arr, f, k).tolist()
+    if f != 2 * k:
+        fp_seed = mix64_reference(qd.seed ^ _FINGERPRINT_TAG)
+        assert fps == [mix64_reference(x ^ fp_seed) & _fp_mask(f) for x in batch]
+
+
+@settings(deadline=None)
+@given(u64, st.integers(0, 100))
+def test_seed_stream_matches_reference(master, index):
+    expected = mix64_reference((master + (index + 1) * SEED_STREAM_INCREMENT) & MASK64)
+    assert derive_seed(master, index) == expected
