@@ -28,7 +28,8 @@ from .bits import DEFAULT_SEED, MIX_MULT_1, MIX_MULT_2
 from .core import QuasiDictionary
 from .counter import run_counter
 from .evaluation import SimConfig, load_truth, pairs_from_linker_output, score, simulate
-from .kcount import count_solid
+from .kcount import COUNT_CAP, count_solid
+from .kmer import MAX_K
 from .linker import DEFAULT_LINK_THRESHOLD, run_linker
 from .seqio import open_file_of_files, open_reads
 
@@ -49,12 +50,7 @@ def _add_index_options(p: argparse.ArgumentParser, default_t: int = 2) -> None:
 
 
 def _check_ranges(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
-    limits = {
-        "k": (1, 31),
-        "t": (1, 255),
-        "f": (1, 64),
-    }
-    for name, (lo, hi) in limits.items():
+    for name, lo, hi in (("k", 1, MAX_K), ("t", 1, COUNT_CAP), ("f", 1, 64)):
         value = getattr(args, name, None)
         if value is not None and not lo <= value <= hi:
             parser.error(f"-{name} must be in [{lo}, {hi}], got {value}")
@@ -175,10 +171,14 @@ def _cmd_score(args) -> int:
     return 0
 
 
-def _distinct_random_codes(n: int, width_bits: int, rng: np.random.Generator) -> np.ndarray:
+def _distinct_random_codes(n: int, width_bits: int, rng: np.random.Generator, exclude=()) -> np.ndarray:
+    """n distinct random codes, sorted, none of them in the sorted array ``exclude``."""
     codes = np.empty(0, dtype=np.uint64)
     while len(codes) < n:
         draw = rng.integers(0, 1 << width_bits, size=n + n // 8 + 16, dtype=np.uint64)
+        if len(exclude):
+            loc = np.minimum(np.searchsorted(exclude, draw), len(exclude) - 1)
+            draw = draw[exclude[loc] != draw]
         codes = np.unique(np.concatenate([codes, draw]))
     return codes[:n]
 
@@ -203,15 +203,7 @@ def stats_run(args) -> dict:
     qd = QuasiDictionary.create(keys, f=args.f, gamma=args.gamma, k=args.k, seed=args.seed)
     build_seconds = time.perf_counter() - t0
 
-    sorted_keys = np.sort(keys)
-    probes = np.empty(0, dtype=np.uint64)
-    while len(probes) < args.probes:
-        draw = rng.integers(0, 1 << (2 * args.k), size=args.probes + args.probes // 8 + 16, dtype=np.uint64)
-        if len(sorted_keys):
-            loc = np.minimum(np.searchsorted(sorted_keys, draw), len(sorted_keys) - 1)
-            draw = draw[sorted_keys[loc] != draw]
-        probes = np.unique(np.concatenate([probes, draw]))
-    probes = probes[: args.probes]
+    probes = _distinct_random_codes(args.probes, 2 * args.k, rng, exclude=keys)  # keys are sorted
 
     t0 = time.perf_counter()
     answers = qd.query_array(probes)

@@ -21,6 +21,7 @@ import struct
 import numpy as np
 
 from .bits import DEFAULT_SEED, MASK64, MIX_MULT_1, MIX_MULT_2, U64, check_room, key_array, mix64
+from .kmer import MAX_K
 from .mphf import NOT_FOUND, Mphf
 
 _MAGIC = b"QDIC"
@@ -183,7 +184,12 @@ class QuasiDictionary:
             raise ValueError(f"unsupported index version {version}")
         if (m1, m2) != (MIX_MULT_1, MIX_MULT_2):
             raise ValueError("index built with different mixer constants")
+        _check_f(f)
+        if not 1 <= k <= MAX_K:
+            raise ValueError(f"k-mer length must be in [1, {MAX_K}], got {k}")
         mphf, offset = Mphf.deserialize(buf, _HEAD.size)
+        if mphf.n_keys != n_keys:
+            raise ValueError(f"perfect hash holds {mphf.n_keys} keys, header says {n_keys}")
         if offset != _HEAD.size + mphf_len:
             raise ValueError(f"perfect hash spans {offset - _HEAD.size} bytes, header says {mphf_len}")
         n_words = (n_keys * f + 63) // 64

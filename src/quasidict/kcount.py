@@ -1,9 +1,10 @@
 """Solid-k-mer extraction: canonical k-mer counting with a threshold.
 
 A k-mer is solid when its canonical form occurs at least t times across
-the read set (both strands pooled). Counting is exact; the stored counts
-saturate at 255, which is applied only after the >= t filter so the
-solidity decision never saturates away (t <= 255 is enforced).
+the read set (both strands pooled); :func:`solid_table` is the one place
+that decides it, for the counter and the linker alike. Counting is exact;
+the stored counts saturate at 255, which is applied only after the >= t
+filter so the solidity decision never saturates away (t <= 255 is enforced).
 """
 
 from __future__ import annotations
@@ -14,10 +15,12 @@ from typing import Iterable
 
 import numpy as np
 
+from .bits import check_room
 from .kmer import MAX_K, scan_kmers
 from .seqio import ReadRecord
 
 _MAGIC = b"SKMT"
+_HEAD = struct.Struct("<4sIIQ")
 
 COUNT_CAP = 255
 
@@ -37,38 +40,55 @@ class SolidKmerTable:
     def dump(self, path: str) -> None:
         """On-disk form: magic, k, t, entry count, then (code, count) pairs."""
         with open(path, "wb") as fh:
-            fh.write(struct.pack("<4sIIQ", _MAGIC, self.k, self.t, len(self.codes)))
+            fh.write(_HEAD.pack(_MAGIC, self.k, self.t, len(self.codes)))
             fh.write(self.codes.astype("<u8").tobytes())
             fh.write(self.counts.astype(np.uint8).tobytes())
 
     @classmethod
     def load(cls, path: str) -> "SolidKmerTable":
+        """Inverse of :meth:`dump`; ValueError on a short or long file."""
         with open(path, "rb") as fh:
             buf = fh.read()
-        magic, k, t, n = struct.unpack_from("<4sIIQ", buf, 0)
+        check_room(buf, 0, _HEAD.size)
+        magic, k, t, n = _HEAD.unpack_from(buf, 0)
         if magic != _MAGIC:
             raise ValueError("not a solid k-mer table file")
-        offset = struct.calcsize("<4sIIQ")
-        codes = np.frombuffer(buf, dtype="<u8", count=n, offset=offset).copy()
-        counts = np.frombuffer(buf, dtype=np.uint8, count=n, offset=offset + 8 * n).copy()
+        if _HEAD.size + 9 * n != len(buf):
+            raise ValueError(f"expected {_HEAD.size + 9 * n} bytes, got {len(buf)}")
+        codes = np.frombuffer(buf, dtype="<u8", count=n, offset=_HEAD.size).copy()
+        counts = np.frombuffer(buf, dtype=np.uint8, count=n, offset=_HEAD.size + 8 * n).copy()
         return cls(codes, counts, k, t)
 
 
-def count_solid(reads: Iterable[ReadRecord], k: int, t: int) -> SolidKmerTable:
-    """Count canonical k-mers over a read stream and keep those seen >= t times."""
+def scan_reads(reads: Iterable[ReadRecord], k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every read's canonical codes concatenated in read order, and k-mers per read."""
+    chunks = [scan_kmers(read.seq, k)[1] for read in reads]
+    sizes = np.array([len(c) for c in chunks], dtype=np.int64)
+    return np.concatenate([np.empty(0, np.uint64), *chunks]), sizes
+
+
+def solid_table(codes: np.ndarray, k: int, t: int) -> SolidKmerTable:
+    """Distinct codes occurring at least t times in ``codes``, with capped counts.
+
+    One sorted copy and a byte mask, no per-distinct-code arrays: a first
+    occurrence is solid when the code t - 1 places on is the same one.
+    """
     if not 1 <= k <= MAX_K:
         raise ValueError(f"k must be in [1, {MAX_K}], got {k}")
     if not 1 <= t <= COUNT_CAP:
         raise ValueError(f"solidity threshold must be in [1, {COUNT_CAP}], got {t}")
-    chunks = []
-    for read in reads:
-        _, codes = scan_kmers(read.seq, k)
-        if len(codes):
-            chunks.append(codes)
-    if not chunks:
+    ordered = np.sort(codes)
+    m = len(ordered) - t + 1  # run starts that leave room for t equal codes
+    if m <= 0:
         return SolidKmerTable(np.empty(0, np.uint64), np.empty(0, np.uint8), k, t)
-    all_codes = np.concatenate(chunks)
-    uniq, counts = np.unique(all_codes, return_counts=True)
-    keep = counts >= t
-    capped = np.minimum(counts[keep], COUNT_CAP).astype(np.uint8)
-    return SolidKmerTable(uniq[keep], capped, k, t)
+    starts = ordered[:m] == ordered[t - 1 :]
+    starts[1:] &= ordered[1:m] != ordered[: m - 1]
+    first = np.flatnonzero(starts)
+    solid = ordered[first]
+    counts = np.searchsorted(ordered, solid, side="right") - first
+    return SolidKmerTable(solid, np.minimum(counts, COUNT_CAP).astype(np.uint8), k, t)
+
+
+def count_solid(reads: Iterable[ReadRecord], k: int, t: int) -> SolidKmerTable:
+    """Count canonical k-mers over a read stream and keep those seen >= t times."""
+    return solid_table(scan_reads(reads, k)[0], k, t)

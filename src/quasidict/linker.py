@@ -1,8 +1,8 @@
 """Read similarity via shared-k-mer coverage.
 
-Indexing stores, per solid k-mer of the bank, the sorted duplicate-free
-list of bank read ids containing it (posting lists, laid out as one flat
-array plus offsets, sized by a counting pass before a fill pass). For a
+Indexing scans the bank once and stores, per solid k-mer, the sorted
+duplicate-free list of bank read ids containing it (posting lists, one
+flat array plus offsets, cut from the distinct (slot, read) pairs). For a
 query read, every position covered by at least one k-mer shared with a
 given target contributes 1 to that target's score; optionally the score
 is the best window of a fixed width w instead of the whole read. Targets
@@ -21,7 +21,7 @@ import numpy as np
 
 from .bits import DEFAULT_SEED
 from .core import QuasiDictionary
-from .kcount import count_solid
+from .kcount import scan_reads, solid_table
 from .kmer import scan_kmers
 from .seqio import ReadRecord, open_reads
 
@@ -65,48 +65,27 @@ def build_linker_index(
     seed: int = DEFAULT_SEED,
 ) -> LinkerIndex:
     """Index the bank: slot -> ids of bank reads containing that solid k-mer."""
-    table = count_solid(open_reads(bank_path), k, t)
+    codes, sizes = scan_reads(open_reads(bank_path), k)
+    table = solid_table(codes, k, t)
     qd = QuasiDictionary.create(table.codes, f=f, gamma=gamma, k=k, seed=seed)
-    n_slots = len(table)
+    n_slots, n_targets = len(table), len(sizes)
+    if n_slots == 0:
+        return LinkerIndex(qd, np.zeros(1, np.int64), np.empty(0, np.int32), k, t, n_targets)
 
-    # counting pass: posting sizes (one incidence per read, repeats collapsed).
     # Non-solid k-mers of bank reads are dropped against the exact solid table,
     # which is still at hand here; routing them through the probabilistic query
     # instead would plant false-positive read ids in the postings.
-    sizes = np.zeros(n_slots, dtype=np.int64)
-    n_targets = 0
-    for read in open_reads(bank_path):
-        n_targets += 1
-        slots = _read_slots(qd, table.codes, read.seq, k)
-        if len(slots):
-            sizes[slots] += 1
+    loc = np.minimum(np.searchsorted(table.codes, codes), n_slots - 1)
+    at = np.flatnonzero(table.codes[loc] == codes)
+    del codes
+    slot = qd.query_array(table.codes)[loc[at]]
+    read = np.searchsorted(np.cumsum(sizes), at, side="right")
 
+    # one incidence per (slot, read); sorted pairs group by slot, then read id
+    pairs = np.unique(slot * n_targets + read)
     offsets = np.zeros(n_slots + 1, dtype=np.int64)
-    np.cumsum(sizes, out=offsets[1:])
-    ids = np.zeros(offsets[-1], dtype=np.int32)
-
-    # fill pass: reads arrive in id order, so every posting list ends up sorted
-    cursor = offsets[:-1].copy()
-    for read in open_reads(bank_path):
-        slots = _read_slots(qd, table.codes, read.seq, k)
-        if len(slots):
-            ids[cursor[slots]] = read.id
-            cursor[slots] += 1
-
-    return LinkerIndex(qd, offsets, ids, k, t, n_targets)
-
-
-def _read_slots(qd: QuasiDictionary, solid_codes: np.ndarray, seq: str, k: int) -> np.ndarray:
-    """Distinct dictionary slots of a read's solid k-mers (exact membership)."""
-    _, codes = scan_kmers(seq, k)
-    if len(codes) == 0 or len(solid_codes) == 0:
-        return np.empty(0, np.int64)
-    loc = np.searchsorted(solid_codes, codes)
-    loc_safe = np.minimum(loc, len(solid_codes) - 1)
-    codes = codes[solid_codes[loc_safe] == codes]
-    if len(codes) == 0:
-        return np.empty(0, np.int64)
-    return np.unique(qd.query_array(codes))
+    np.cumsum(np.bincount(pairs // n_targets, minlength=n_slots), out=offsets[1:])
+    return LinkerIndex(qd, offsets, (pairs % n_targets).astype(np.int32), k, t, n_targets)
 
 
 def link_read(

@@ -151,7 +151,7 @@ class Mphf:
 
     @classmethod
     def deserialize(cls, buf: bytes, offset: int = 0) -> tuple["Mphf", int]:
-        """Inverse of :meth:`serialize`; ValueError on a short buffer."""
+        """Inverse of :meth:`serialize`; ValueError on a short or inconsistent buffer."""
         check_room(buf, offset, _HEAD.size)
         magic, version, n_keys, gamma, seed, n_levels = _HEAD.unpack_from(buf, offset)
         if magic != _MAGIC:
@@ -169,4 +169,6 @@ class Mphf:
         check_room(buf, offset, 16 * n_fallback)
         pairs = np.frombuffer(buf, dtype="<u8", count=2 * n_fallback, offset=offset)
         offset += 16 * n_fallback
+        if sum(bv.n_ones for bv in levels) + n_fallback != n_keys:
+            raise ValueError(f"levels and fallback do not hold the header's {n_keys} keys")
         return cls(levels, pairs[0::2].copy(), n_keys, gamma, seed), offset

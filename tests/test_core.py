@@ -178,6 +178,38 @@ def test_deserialize_rejects_truncated_padded_or_inconsistent_input():
             QuasiDictionary.deserialize(bad)
 
 
+def patched(blob, offset, fmt, value):
+    return blob[:offset] + struct.pack(fmt, value) + blob[offset + struct.calcsize(fmt) :]
+
+
+@pytest.mark.parametrize(
+    "offset, fmt, value, message",
+    [
+        (16, "<I", 0, "fingerprint width"),  # f
+        (16, "<I", 65, "fingerprint width"),
+        (20, "<I", 0, "k-mer length"),  # k
+        (20, "<I", 32, "k-mer length"),
+        (8, "<Q", 5, "perfect hash holds 300 keys"),  # index n_keys
+        (64, "<Q", 5, "levels and fallback"),  # the perfect hash's own n_keys
+        (64, "<Q", 301, "levels and fallback"),
+    ],
+)
+def test_deserialize_cross_checks_header_counts(offset, fmt, value, message):
+    # QDIC header: magic, version, n_keys @8, f @16, k @20, ...; MPHF header
+    # from byte 56: magic, version, n_keys @64, ...
+    blob = QuasiDictionary.create(distinct_codes(300, seed=15), f=12).serialize()
+    assert QuasiDictionary.deserialize(blob).n_keys == 300
+    with pytest.raises(ValueError, match=message):
+        QuasiDictionary.deserialize(patched(blob, offset, fmt, value))
+
+
+def test_deserialize_rejects_zero_width_empty_index():
+    blob = QuasiDictionary.create(np.empty(0, dtype=np.uint64), f=12).serialize()
+    assert QuasiDictionary.deserialize(blob).n_keys == 0
+    with pytest.raises(ValueError, match="fingerprint width"):
+        QuasiDictionary.deserialize(patched(blob, 16, "<I", 0))
+
+
 def test_save_load_file(tmp_path):
     keys = distinct_codes(3000, seed=14)
     qd = QuasiDictionary.create(keys, f=12)

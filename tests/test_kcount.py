@@ -108,3 +108,18 @@ def test_dump_load_roundtrip(tmp_path):
     assert back.k == table.k and back.t == table.t
     assert (back.codes == table.codes).all()
     assert (back.counts == table.counts).all()
+
+
+def test_load_rejects_truncated_or_padded_file(tmp_path):
+    table = count_solid(reads_of("ACGTTGCAAC", "ACGTTGCAAC"), k=4, t=1)
+    path = tmp_path / "table.skmt"
+    table.dump(str(path))
+    blob = path.read_bytes()
+    assert len(blob) == 20 + 9 * len(table)  # magic, k, t, n, then the entries
+    for cut in range(len(blob)):
+        path.write_bytes(blob[:cut])
+        with pytest.raises(ValueError):
+            SolidKmerTable.load(str(path))
+    path.write_bytes(blob + b"\0")
+    with pytest.raises(ValueError, match="expected"):
+        SolidKmerTable.load(str(path))

@@ -1,10 +1,13 @@
 """Shared-k-mer linking versus a quadratic pairwise coverage oracle."""
 
 import io
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from quasidict import kcount, kmer, linker, seqio
+from quasidict.core import QuasiDictionary
 from quasidict.kmer import canonical, encode
 from quasidict.linker import build_linker_index, format_link_line, link_read, run_linker
 from quasidict.seqio import ReadRecord
@@ -114,6 +117,32 @@ def test_postings_stay_exact_even_at_tiny_f(tmp_path):
         got = index.ids[index.offsets[sn] : index.offsets[sn + 1]].tolist()
         want = exact.ids[exact.offsets[se] : exact.offsets[se + 1]].tolist()
         assert got == want
+
+
+def test_build_scans_the_bank_once(tmp_path, monkeypatch):
+    rng = np.random.default_rng(6)
+    seqs = reads_from_genome(rng, random_genome(rng, 200), 7, 40)
+    bank = write_fasta(tmp_path / "b.fa", seqs)
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    # every module binding is wrapped, so no import path escapes the count
+    for name, modules in (("open_reads", (seqio, linker)), ("scan_kmers", (kmer, kcount, linker))):
+        wrapped = counted(name, getattr(modules[0], name))
+        for mod in modules:
+            monkeypatch.setattr(mod, name, wrapped)
+    monkeypatch.setattr(QuasiDictionary, "query_array", counted("query_array", QuasiDictionary.query_array))
+    index = build_linker_index(bank, k=9, t=1, f=12)
+    assert index.n_targets == len(seqs)
+    assert calls["open_reads"] == 1
+    assert calls["scan_kmers"] == len(seqs)
+    assert calls["query_array"] <= 1
 
 
 def test_identical_read_full_coverage(tmp_path):

@@ -1,9 +1,14 @@
 """Property tests on arbitrary inputs: rank against a prefix-sum oracle,
-perfect-hash bijectivity, and the scalar wrappers against the array path
-and against a plain-int reference walk of the structure."""
+perfect-hash bijectivity, the scalar wrappers against the array path and
+against a plain-int reference walk of the structure, and solid-k-mer
+counting and linker postings against brute-force string oracles."""
+
+import os
+import tempfile
+from collections import Counter
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -23,7 +28,11 @@ from quasidict.core import (
     fingerprint,
     fingerprint_array,
 )
+from quasidict.kcount import COUNT_CAP, count_solid, solid_table
+from quasidict.kmer import canonical, encode
+from quasidict.linker import build_linker_index
 from quasidict.mphf import FALLBACK_CUTOFF, NOT_FOUND, Mphf
+from quasidict.seqio import ReadRecord
 
 MAX_U64 = 2**64 - 1
 u64 = st.integers(0, MAX_U64)
@@ -113,3 +122,64 @@ def test_scalar_wrappers_equal_array_path_and_reference(keyset, probes, f, k):
 def test_seed_stream_matches_reference(master, index):
     expected = mix64_reference((master + (index + 1) * SEED_STREAM_INCREMENT) & MASK64)
     assert derive_seed(master, index) == expected
+
+
+def kmer_occurrences(seqs, k):
+    """Canonical code of every all-ACGT window (case-insensitive), via strings."""
+    out = []
+    for s in seqs:
+        for i in range(len(s) - k + 1):
+            w = s[i : i + k].upper()
+            if set(w) <= set("ACGT"):
+                out.append(canonical(encode(w), k))
+    return out
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.lists(st.integers(0, 40), max_size=800), st.integers(1, COUNT_CAP))
+def test_solid_table_matches_counter(codes, t):
+    table = solid_table(np.array(codes, dtype=np.uint64), k=31, t=t)
+    want = sorted((c, min(n, COUNT_CAP)) for c, n in Counter(codes).items() if n >= t)
+    assert list(zip(table.codes.tolist(), table.counts.tolist())) == want
+    assert table.codes.dtype == np.uint64 and table.counts.dtype == np.uint8
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    st.lists(st.text("ACGTNacgt", max_size=30), max_size=12),
+    st.integers(1, 60),
+    st.integers(1, 6),
+    st.sampled_from([1, 2, 3, 255]),
+)
+def test_count_solid_matches_counter(seqs, copies, k, t):
+    # copies repeat the read set so that counts cross the 255 cap
+    reads = [ReadRecord(i, f"r{i}", s) for i, s in enumerate(seqs * copies)]
+    table = count_solid(reads, k, t)
+    counts = Counter(kmer_occurrences(seqs, k))
+    want = sorted((c, min(n * copies, COUNT_CAP)) for c, n in counts.items() if n * copies >= t)
+    assert list(zip(table.codes.tolist(), table.counts.tolist())) == want
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    st.lists(st.text("ACGTN", min_size=1, max_size=40), max_size=12),
+    st.integers(2, 6),
+    st.integers(1, 3),
+    st.integers(1, 12),
+)
+@example(seqs=[], k=4, t=1, f=8)  # empty bank
+@example(seqs=["ACGTTG", "NNNNN"], k=4, t=2, f=8)  # no solid k-mer
+def test_linker_postings_match_containment(seqs, k, t, f):
+    with tempfile.TemporaryDirectory() as tmp:
+        bank = os.path.join(tmp, "bank.fa")
+        with open(bank, "w") as fh:
+            fh.writelines(f">r{i}\n{s}\n" for i, s in enumerate(seqs))
+        index = build_linker_index(bank, k=k, t=t, f=f)
+    counts = Counter(kmer_occurrences(seqs, k))
+    solid = sorted(c for c, n in counts.items() if n >= t)
+    assert (index.n_targets, index.qd.n_keys, len(index.offsets)) == (len(seqs), len(solid), len(solid) + 1)
+    assert index.offsets[0] == 0 and index.offsets[-1] == len(index.ids)
+    slots = index.qd.query_array(np.array(solid, dtype=np.uint64))
+    for code, slot in zip(solid, slots.tolist()):
+        want = [i for i, s in enumerate(seqs) if code in kmer_occurrences([s], k)]
+        assert index.ids[index.offsets[slot] : index.offsets[slot + 1]].tolist() == want
