@@ -21,7 +21,7 @@ import struct
 import numpy as np
 
 from .bits import DEFAULT_SEED, MASK64, MIX_MULT_1, MIX_MULT_2, U64, check_room, key_array, mix64
-from .kmer import MAX_K
+from .kmer import check_k
 from .mphf import NOT_FOUND, Mphf
 
 _MAGIC = b"QDIC"
@@ -185,8 +185,7 @@ class QuasiDictionary:
         if (m1, m2) != (MIX_MULT_1, MIX_MULT_2):
             raise ValueError("index built with different mixer constants")
         _check_f(f)
-        if not 1 <= k <= MAX_K:
-            raise ValueError(f"k-mer length must be in [1, {MAX_K}], got {k}")
+        check_k(k)
         mphf, offset = Mphf.deserialize(buf, _HEAD.size)
         if mphf.n_keys != n_keys:
             raise ValueError(f"perfect hash holds {mphf.n_keys} keys, header says {n_keys}")

@@ -16,7 +16,7 @@ from typing import Iterable
 import numpy as np
 
 from .bits import check_room
-from .kmer import MAX_K, scan_kmers
+from .kmer import check_k, scan_kmers
 from .seqio import ReadRecord
 
 _MAGIC = b"SKMT"
@@ -73,8 +73,7 @@ def solid_table(codes: np.ndarray, k: int, t: int) -> SolidKmerTable:
     One sorted copy and a byte mask, no per-distinct-code arrays: a first
     occurrence is solid when the code t - 1 places on is the same one.
     """
-    if not 1 <= k <= MAX_K:
-        raise ValueError(f"k must be in [1, {MAX_K}], got {k}")
+    check_k(k)
     if not 1 <= t <= COUNT_CAP:
         raise ValueError(f"solidity threshold must be in [1, {COUNT_CAP}], got {t}")
     ordered = np.sort(codes)

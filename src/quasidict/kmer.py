@@ -6,6 +6,11 @@ A k-mer (k <= 31) packs into one 64-bit word, two bits per base
 codes equals lexicographic order of strings. The canonical form of a
 k-mer is the smaller of the code and its reverse-complement code; both
 strands of a DNA fragment therefore index identically.
+
+With digits d[0..k-1] of a window, the code is Σ d[j]·4^(k-1-j) and the
+reverse-complement code is Σ (3 - d[j])·4^j = 4^k - 1 - Σ d[j]·4^j, so
+every window of a sequence comes out of one convolution and one
+correlation of its digits with the powers of 4. Both stay below 4^31 < 2^63.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .bits import MASK64, U64
+from .bits import U64
 
 MAX_K = 31
 
@@ -26,10 +31,7 @@ _LUT = np.full(256, 255, dtype=np.uint8)
 for _ch, _v in _CODE_OF.items():
     _LUT[ord(_ch)] = _v
 
-_M2 = 0x3333333333333333
-_M4 = 0x0F0F0F0F0F0F0F0F
-_M8 = 0x00FF00FF00FF00FF
-_M16 = 0x0000FFFF0000FFFF
+_POW4 = U64(4) ** np.arange(MAX_K, dtype=np.uint64)
 
 
 class NonNucleotideError(ValueError):
@@ -41,11 +43,15 @@ class NonNucleotideError(ValueError):
         super().__init__(f"non-nucleotide character {char!r} at position {position}")
 
 
-def encode(s: str) -> int:
-    """Pack a string over {A,C,G,T} (case-insensitive) into its code."""
-    k = len(s)
+def check_k(k: int) -> None:
+    """ValueError unless 1 <= k <= MAX_K, the lengths one 64-bit code holds."""
     if not 1 <= k <= MAX_K:
         raise ValueError(f"k-mer length must be in [1, {MAX_K}], got {k}")
+
+
+def encode(s: str) -> int:
+    """Pack a string over {A,C,G,T} (case-insensitive) into its code."""
+    check_k(len(s))
     code = 0
     for i, ch in enumerate(s):
         v = _CODE_OF.get(ch)
@@ -57,8 +63,7 @@ def encode(s: str) -> int:
 
 def decode(code: int, k: int) -> str:
     """Inverse of :func:`encode` for a length-k code."""
-    if not 1 <= k <= MAX_K:
-        raise ValueError(f"k-mer length must be in [1, {MAX_K}], got {k}")
+    check_k(k)
     if not 0 <= code < (1 << (2 * k)):
         raise ValueError(f"code {code} out of range for k={k}")
     out = []
@@ -69,34 +74,16 @@ def decode(code: int, k: int) -> str:
 
 def revcomp(code: int, k: int) -> int:
     """Reverse complement: base order reversed, A<->T and C<->G swapped."""
-    x = ~code & MASK64
-    x = ((x & _M2) << 2) | ((x >> 2) & _M2)
-    x = ((x & _M4) << 4) | ((x >> 4) & _M4)
-    x = ((x & _M8) << 8) | ((x >> 8) & _M8)
-    x = ((x & _M16) << 16) | ((x >> 16) & _M16)
-    x = ((x << 32) | (x >> 32)) & MASK64
-    return x >> (64 - 2 * k)
-
-
-def revcomp_array(codes: np.ndarray, k: int) -> np.ndarray:
-    """Vectorized :func:`revcomp` over a uint64 code array."""
-    x = ~codes
-    x = ((x & U64(_M2)) << U64(2)) | ((x >> U64(2)) & U64(_M2))
-    x = ((x & U64(_M4)) << U64(4)) | ((x >> U64(4)) & U64(_M4))
-    x = ((x & U64(_M8)) << U64(8)) | ((x >> U64(8)) & U64(_M8))
-    x = ((x & U64(_M16)) << U64(16)) | ((x >> U64(16)) & U64(_M16))
-    x = (x << U64(32)) | (x >> U64(32))
-    return x >> U64(64 - 2 * k)
+    out = 0
+    for _ in range(k):
+        out = (out << 2) | (3 - (code & 3))
+        code >>= 2
+    return out
 
 
 def canonical(code: int, k: int) -> int:
     """Smaller of a code and its reverse complement (string order)."""
     return min(code, revcomp(code, k))
-
-
-def canonical_array(codes: np.ndarray, k: int) -> np.ndarray:
-    """Vectorized :func:`canonical`."""
-    return np.minimum(codes, revcomp_array(codes, k))
 
 
 def scan_kmers(seq: str, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -106,26 +93,18 @@ def scan_kmers(seq: str, k: int) -> tuple[np.ndarray, np.ndarray]:
     position whose k-length window contains only A/C/G/T; windows touching
     any other character are skipped.
     """
-    if not 1 <= k <= MAX_K:
-        raise ValueError(f"k-mer length must be in [1, {MAX_K}], got {k}")
+    check_k(k)
     raw = np.frombuffer(seq.encode("latin-1", errors="replace"), dtype=np.uint8)
-    n = len(raw)
-    if n < k:
+    if len(raw) < k:
         return np.empty(0, np.int64), np.empty(0, np.uint64)
     vals = _LUT[raw]
-    invalid = vals == 255
-    bad_prefix = np.concatenate([[0], np.cumsum(invalid, dtype=np.int64)])
-    ok = (bad_prefix[k:] - bad_prefix[:-k]) == 0
-
-    v64 = vals.astype(np.uint64)
-    v64[invalid] = 0
-    m = n - k + 1
-    codes = np.zeros(m, dtype=np.uint64)
-    for j in range(k):
-        codes |= v64[j : j + m] << U64(2 * (k - 1 - j))
-
-    positions = np.nonzero(ok)[0].astype(np.int64)
-    return positions, canonical_array(codes[ok], k)
+    bad_prefix = np.concatenate([[0], np.cumsum(vals == 255, dtype=np.int64)])
+    positions = np.flatnonzero(bad_prefix[k:] == bad_prefix[:-k])
+    # a non-ACGT byte leaves a digit 3 that spoils only the windows dropped above
+    digits = (vals & 3).astype(np.uint64)
+    forward = np.convolve(digits, _POW4[:k], "valid")
+    reverse = _POW4[k - 1] * U64(4) - U64(1) - np.correlate(digits, _POW4[:k], "valid")
+    return positions, np.minimum(forward, reverse)[positions]
 
 
 def iter_kmers(seq: str, k: int) -> Iterator[tuple[int, int]]:

@@ -151,7 +151,7 @@ class Mphf:
 
     @classmethod
     def deserialize(cls, buf: bytes, offset: int = 0) -> tuple["Mphf", int]:
-        """Inverse of :meth:`serialize`; ValueError on a short or inconsistent buffer."""
+        """Inverse of :meth:`serialize`; ValueError on a buffer it could not have written."""
         check_room(buf, offset, _HEAD.size)
         magic, version, n_keys, gamma, seed, n_levels = _HEAD.unpack_from(buf, offset)
         if magic != _MAGIC:
@@ -162,6 +162,8 @@ class Mphf:
         levels = []
         for _ in range(n_levels):
             bv, offset = RankBitVector.deserialize(buf, offset)
+            if bv.n_bits == 0:
+                raise ValueError("perfect-hash level with no bits")
             levels.append(bv)
         check_room(buf, offset, 8)
         (n_fallback,) = struct.unpack_from("<Q", buf, offset)
@@ -169,6 +171,12 @@ class Mphf:
         check_room(buf, offset, 16 * n_fallback)
         pairs = np.frombuffer(buf, dtype="<u8", count=2 * n_fallback, offset=offset)
         offset += 16 * n_fallback
-        if sum(bv.n_ones for bv in levels) + n_fallback != n_keys:
+        base = sum(bv.n_ones for bv in levels)
+        if base + n_fallback != n_keys:
             raise ValueError(f"levels and fallback do not hold the header's {n_keys} keys")
-        return cls(levels, pairs[0::2].copy(), n_keys, gamma, seed), offset
+        keys, idx = pairs[0::2], pairs[1::2]
+        if (keys[1:] <= keys[:-1]).any():
+            raise ValueError("fallback keys are not strictly increasing")
+        if (idx != np.arange(base, base + n_fallback, dtype=np.uint64)).any():
+            raise ValueError(f"fallback indices do not run on from {base}")
+        return cls(levels, keys.copy(), n_keys, gamma, seed), offset

@@ -3,15 +3,15 @@
 import numpy as np
 import pytest
 
+from quasidict.kcount import solid_table
 from quasidict.kmer import (
+    MAX_K,
     NonNucleotideError,
     canonical,
-    canonical_array,
     decode,
     encode,
     iter_kmers,
     revcomp,
-    revcomp_array,
     scan_kmers,
 )
 
@@ -56,6 +56,21 @@ def test_encode_rejects_bad_lengths():
         encode("A" * 32)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda k: decode(0, k),
+        lambda k: scan_kmers("ACGT" * 10, k),
+        lambda k: solid_table(np.zeros(3, np.uint64), k, 1),
+    ],
+    ids=["decode", "scan_kmers", "solid_table"],
+)
+def test_k_outside_one_to_max_k_rejected(call):
+    for k in (0, MAX_K + 1):
+        with pytest.raises(ValueError, match=rf"k-mer length must be in \[1, {MAX_K}\], got {k}"):
+            call(k)
+
+
 def test_encode_decode_roundtrip_random():
     rng = np.random.default_rng(1)
     for _ in range(300):
@@ -91,28 +106,19 @@ def test_revcomp_matches_string_oracle():
 def test_revcomp_involution():
     rng = np.random.default_rng(4)
     for k in (1, 5, 16, 31):
-        codes = rng.integers(0, 1 << (2 * k), size=2000, dtype=np.uint64)
-        assert (revcomp_array(revcomp_array(codes, k), k) == codes).all()
-
-
-def test_revcomp_array_matches_scalar():
-    rng = np.random.default_rng(5)
-    k = 21
-    codes = rng.integers(0, 1 << (2 * k), size=500, dtype=np.uint64)
-    batch = revcomp_array(codes, k)
-    for c, r in zip(codes[:100], batch[:100]):
-        assert revcomp(int(c), k) == int(r)
+        for code in rng.integers(0, 1 << (2 * k), size=2000, dtype=np.uint64).tolist():
+            assert revcomp(revcomp(code, k), k) == code
 
 
 def test_canonical_properties():
     rng = np.random.default_rng(6)
     for k in (2, 9, 31):
-        codes = rng.integers(0, 1 << (2 * k), size=3000, dtype=np.uint64)
-        canon = canonical_array(codes, k)
-        # symmetric under strand, idempotent, never above its own revcomp
-        assert (canon == canonical_array(revcomp_array(codes, k), k)).all()
-        assert (canonical_array(canon, k) == canon).all()
-        assert (canon <= revcomp_array(canon, k)).all()
+        for code in rng.integers(0, 1 << (2 * k), size=3000, dtype=np.uint64).tolist():
+            canon = canonical(code, k)
+            # symmetric under strand, idempotent, never above its own revcomp
+            assert canon == canonical(revcomp(code, k), k)
+            assert canonical(canon, k) == canon
+            assert canon <= revcomp(canon, k)
 
 
 def test_canonical_documented_example():

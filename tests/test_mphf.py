@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from quasidict.bitrank import RankBitVector
 from quasidict.mphf import NOT_FOUND, DuplicateKeyError, Mphf
 
 
@@ -87,6 +88,50 @@ def test_serialize_roundtrip():
     for cut in range(len(blob)):
         with pytest.raises(ValueError):
             Mphf.deserialize(blob[:cut])
+
+
+def test_deserialize_rejects_a_level_with_no_bits():
+    m = Mphf.construct(random_keys(3000, seed=31))
+    empty = RankBitVector.build(np.zeros(0, dtype=bool))
+    blob = Mphf(m.levels + [empty], m.fallback_keys, m.n_keys, m.gamma, m.seed).serialize()
+    with pytest.raises(ValueError, match="no bits"):
+        Mphf.deserialize(blob)
+
+
+def _swap_keys(pairs):
+    pairs[[1, 2], 0] = pairs[[2, 1], 0]
+
+
+def _repeat_key(pairs):
+    pairs[1, 0] = pairs[0, 0]
+
+
+def _swap_indices(pairs):
+    pairs[[0, 3], 1] = pairs[[3, 0], 1]
+
+
+def _flip_index(pairs):
+    pairs[2, 1] ^= 1
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        pytest.param(_swap_keys, "strictly increasing", id="swap_keys"),
+        pytest.param(_repeat_key, "strictly increasing", id="repeat_key"),
+        pytest.param(_swap_indices, "run on", id="swap_indices"),
+        pytest.param(_flip_index, "run on", id="flip_index"),
+    ],
+)
+def test_deserialize_rejects_fallback_pairs_construct_never_writes(edit, message):
+    m = Mphf.construct(random_keys(3000, seed=31))
+    blob = m.serialize()
+    n = len(m.fallback_keys)
+    assert n == 4
+    pairs = np.frombuffer(blob, dtype="<u8", offset=len(blob) - 16 * n).reshape(n, 2).copy()
+    edit(pairs)
+    with pytest.raises(ValueError, match=message):
+        Mphf.deserialize(blob[: len(blob) - 16 * n] + pairs.tobytes())
 
 
 def test_bits_per_key_monotone_in_gamma():

@@ -1,7 +1,8 @@
 """Property tests on arbitrary inputs: rank against a prefix-sum oracle,
 perfect-hash bijectivity, the scalar wrappers against the array path and
-against a plain-int reference walk of the structure, and solid-k-mer
-counting and linker postings against brute-force string oracles."""
+against a plain-int reference walk of the structure, and the k-mer scan,
+solid-k-mer counting, counter stats and linker postings against
+brute-force string oracles."""
 
 import os
 import tempfile
@@ -28,8 +29,9 @@ from quasidict.core import (
     fingerprint,
     fingerprint_array,
 )
+from quasidict.counter import CountStats, build_counter_index, count_read
 from quasidict.kcount import COUNT_CAP, count_solid, solid_table
-from quasidict.kmer import canonical, encode
+from quasidict.kmer import MAX_K, iter_kmers, scan_kmers
 from quasidict.linker import build_linker_index
 from quasidict.mphf import FALLBACK_CUTOFF, NOT_FOUND, Mphf
 from quasidict.seqio import ReadRecord
@@ -124,15 +126,42 @@ def test_seed_stream_matches_reference(master, index):
     assert derive_seed(master, index) == expected
 
 
-def kmer_occurrences(seqs, k):
-    """Canonical code of every all-ACGT window (case-insensitive), via strings."""
+def window_oracle(seq, k):
+    """(start, canonical code) of every all-ACGT window, case-insensitive, via strings."""
+    digits, complement = str.maketrans("ACGT", "0123"), str.maketrans("ACGT", "TGCA")
     out = []
-    for s in seqs:
-        for i in range(len(s) - k + 1):
-            w = s[i : i + k].upper()
-            if set(w) <= set("ACGT"):
-                out.append(canonical(encode(w), k))
+    for i in range(len(seq) - k + 1):
+        w = seq[i : i + k]
+        if set(w) <= set("ACGTacgt"):
+            w = w.upper()
+            rc = w[::-1].translate(complement)
+            out.append((i, min(int(w.translate(digits), 4), int(rc.translate(digits), 4))))
     return out
+
+
+def kmer_occurrences(seqs, k):
+    """Canonical code of every all-ACGT window of every read."""
+    return [code for s in seqs for _, code in window_oracle(s, k)]
+
+
+# N, gap, IUPAC ambiguity codes, latin-1 letters (0xff too) and characters outside latin-1
+NOISE = "N-RYSWKMBDHVnrysé\u00ffΩ中\U0001f600"
+noisy_reads = st.lists(
+    st.text("ACGTacgt", max_size=45) | st.text(NOISE, min_size=1, max_size=3), max_size=6
+).map("".join)
+
+
+@settings(deadline=None, max_examples=300)
+@given(noisy_reads, st.integers(1, MAX_K))
+@example(seq="", k=1)
+@example(seq="ACGTACGTAC", k=MAX_K)  # shorter than k
+@example(seq="T" * MAX_K + "GN" + "a" * MAX_K, k=MAX_K)  # extreme codes on both strands
+def test_scan_kmers_matches_string_oracle(seq, k):
+    positions, codes = scan_kmers(seq, k)
+    assert positions.dtype == np.int64 and codes.dtype == np.uint64
+    want = window_oracle(seq, k)
+    assert list(zip(positions.tolist(), codes.tolist())) == want
+    assert list(iter_kmers(seq, k)) == want
 
 
 @settings(deadline=None, max_examples=100)
@@ -183,3 +212,33 @@ def test_linker_postings_match_containment(seqs, k, t, f):
     for code, slot in zip(solid, slots.tolist()):
         want = [i for i, s in enumerate(seqs) if code in kmer_occurrences([s], k)]
         assert index.ids[index.offsets[slot] : index.offsets[slot + 1]].tolist() == want
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    st.lists(st.text("ACGTNacgt", min_size=1, max_size=30), max_size=10),
+    st.lists(st.text("ACGTN", max_size=30), max_size=6),
+    st.integers(1, 60),
+    st.integers(1, 6),
+    st.sampled_from([1, 2, 3]),
+)
+@example(seqs=[], queries=["ACGT"], copies=1, k=2, t=1)  # empty bank
+@example(seqs=["ACGTTG"], queries=["", "AC", "NNNN", "GGGGG"], copies=1, k=3, t=1)  # no indexed k-mer
+@example(seqs=["AAAAAAAAAA", "ACGTTT"], queries=["TTTTAC"], copies=40, k=1, t=3)  # counts past the cap
+def test_counter_stats_match_brute_force(seqs, queries, copies, k, t):
+    # at f = 2k the fingerprint is the code itself, so the dictionary is exact;
+    # copies repeat the bank so that counts cross the 255 cap
+    with tempfile.TemporaryDirectory() as tmp:
+        bank = os.path.join(tmp, "bank.fa")
+        with open(bank, "w") as fh:
+            fh.writelines(f">r{i}\n{s}\n" for i, s in enumerate(seqs * copies))
+        index = build_counter_index(bank, k=k, t=t, f=2 * k)
+    counts = {c: n * copies for c, n in Counter(kmer_occurrences(seqs, k)).items()}
+    for i, seq in enumerate(seqs + queries):
+        values = [min(counts[c], COUNT_CAP) for c in kmer_occurrences([seq], k) if counts.get(c, 0) >= t]
+        ordered = sorted(values)
+        want = None
+        if values:
+            n = len(values)
+            want = CountStats(i, n, sum(values) / n, ordered[(n - 1) // 2], ordered[0], ordered[-1])
+        assert count_read(index, ReadRecord(i, f"q{i}", seq)) == want
