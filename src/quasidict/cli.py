@@ -123,30 +123,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _index_options(args) -> dict:
+    return dict(k=args.k, t=args.t, f=args.f, gamma=args.gamma, seed=args.seed)
+
+
 def _cmd_counter(args) -> int:
     queries = open_file_of_files(args.q)
-    with open(args.o, "w") as out:
-        run_counter(
-            args.b, queries, out, k=args.k, t=args.t, f=args.f, gamma=args.gamma, seed=args.seed
-        )
+    with open(args.o, "w", encoding="latin-1") as out:
+        run_counter(args.b, queries, out, **_index_options(args))
     return 0
 
 
 def _cmd_linker(args) -> int:
     queries = open_file_of_files(args.q)
-    with open(args.o, "w") as out:
-        run_linker(
-            args.b,
-            queries,
-            out,
-            k=args.k,
-            t=args.t,
-            f=args.f,
-            threshold=args.s,
-            window=args.w,
-            gamma=args.gamma,
-            seed=args.seed,
-        )
+    with open(args.o, "w", encoding="latin-1") as out:
+        run_linker(args.b, queries, out, threshold=args.s, window=args.w, **_index_options(args))
     return 0
 
 

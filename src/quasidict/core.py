@@ -31,8 +31,6 @@ _HEAD = struct.Struct("<4sIQIIQQQQ")
 # domain tag separating the fingerprint hash from every level hash
 _FINGERPRINT_TAG = 0x27D4EB2F165667C5
 
-_PACK_CHUNK = 1 << 19  # entries per packing chunk; 2**19 * f bits is word-aligned
-
 
 def _check_f(f: int) -> None:
     if not 1 <= f <= 64:
@@ -67,21 +65,22 @@ def fingerprint_array(keys: np.ndarray, f: int, k: int = 31, seed: int = DEFAULT
 
 
 def _pack_entries(values: np.ndarray, f: int) -> np.ndarray:
-    """Pack f-bit entries contiguously into uint64 words (N*f bits total)."""
+    """Pack entries below 2**f contiguously into uint64 words (N*f bits total).
+
+    The inverse of :meth:`QuasiDictionary._stored_fingerprints`. Entries start
+    in non-decreasing words and at most one straddles into any word, so one
+    ``reduceat`` places the low parts and one plain OR the straddling high parts.
+    """
     n = len(values)
-    n_words = (n * f + 63) // 64
-    if n == 0:
-        return np.zeros(0, dtype=np.uint64)
-    shifts = np.arange(f, dtype=np.uint64)
-    packed = []
-    for s in range(0, n, _PACK_CHUNK):
-        chunk = values[s : s + _PACK_CHUNK]
-        bits = ((chunk[:, None] >> shifts) & U64(1)).astype(np.uint8)
-        packed.append(np.packbits(bits.ravel(), bitorder="little"))
-    raw = np.concatenate(packed)
-    out = np.zeros(n_words * 8, dtype=np.uint8)
-    out[: len(raw)] = raw
-    return np.frombuffer(out.tobytes(), dtype="<u8").copy()
+    words = np.zeros((n * f + 63) // 64, dtype=np.uint64)
+    bitpos = np.arange(n, dtype=np.uint64) * U64(f)
+    wi = (bitpos >> U64(6)).astype(np.int64)
+    off = bitpos & U64(63)
+    firsts = np.flatnonzero(np.diff(wi, prepend=-1))
+    words[wi[firsts]] = np.bitwise_or.reduceat(values << off, firsts)
+    straddle = np.flatnonzero(off > U64(64 - f))
+    words[wi[straddle] + 1] |= values[straddle] >> (U64(64) - off[straddle])
+    return words
 
 
 class QuasiDictionary:
@@ -94,8 +93,6 @@ class QuasiDictionary:
         self.k = k
         self.seed = seed
         self.fg_words = np.ascontiguousarray(fg_words, dtype=np.uint64)
-        # one zero guard word so straddling reads never index out of range
-        self._fg_padded = np.concatenate([self.fg_words, np.zeros(1, np.uint64)])
 
     @classmethod
     def create(
@@ -119,8 +116,11 @@ class QuasiDictionary:
         bitpos = idx.astype(np.uint64) * U64(self.f)
         wi = (bitpos >> U64(6)).astype(np.int64)
         off = bitpos & U64(63)
-        lo = self._fg_padded[wi] >> off
-        hi = (self._fg_padded[wi + 1] << U64(1)) << (U64(63) - off)
+        # the last word has no successor; an entry there does not straddle, and
+        # the f-bit mask drops whatever the clamped read brings in
+        nxt = np.minimum(wi + 1, len(self.fg_words) - 1)
+        lo = self.fg_words[wi] >> off
+        hi = (self.fg_words[nxt] << U64(1)) << (U64(63) - off)
         return (lo | hi) & U64(_fp_mask(self.f))
 
     def query(self, key: int) -> int:

@@ -15,7 +15,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .bits import check_room
+from .bits import U64, check_room
 from .kmer import check_k, scan_kmers
 from .seqio import ReadRecord
 
@@ -23,6 +23,11 @@ _MAGIC = b"SKMT"
 _HEAD = struct.Struct("<4sIIQ")
 
 COUNT_CAP = 255
+
+
+def _check_t(t: int) -> None:
+    if not 1 <= t <= COUNT_CAP:
+        raise ValueError(f"solidity threshold must be in [1, {COUNT_CAP}], got {t}")
 
 
 @dataclass
@@ -46,7 +51,7 @@ class SolidKmerTable:
 
     @classmethod
     def load(cls, path: str) -> "SolidKmerTable":
-        """Inverse of :meth:`dump`; ValueError on a short or long file."""
+        """Inverse of :meth:`dump`; ValueError on a file it could not have written."""
         with open(path, "rb") as fh:
             buf = fh.read()
         check_room(buf, 0, _HEAD.size)
@@ -57,6 +62,12 @@ class SolidKmerTable:
             raise ValueError(f"expected {_HEAD.size + 9 * n} bytes, got {len(buf)}")
         codes = np.frombuffer(buf, dtype="<u8", count=n, offset=_HEAD.size).copy()
         counts = np.frombuffer(buf, dtype=np.uint8, count=n, offset=_HEAD.size + 8 * n).copy()
+        check_k(k)
+        _check_t(t)
+        if (codes[1:] <= codes[:-1]).any() or (codes >= U64(4) ** U64(k)).any():
+            raise ValueError(f"codes are not strictly increasing k-mer codes below 4^{k}")
+        if (counts < t).any():
+            raise ValueError(f"a count is below the solidity threshold {t}")
         return cls(codes, counts, k, t)
 
 
@@ -74,8 +85,7 @@ def solid_table(codes: np.ndarray, k: int, t: int) -> SolidKmerTable:
     occurrence is solid when the code t - 1 places on is the same one.
     """
     check_k(k)
-    if not 1 <= t <= COUNT_CAP:
-        raise ValueError(f"solidity threshold must be in [1, {COUNT_CAP}], got {t}")
+    _check_t(t)
     ordered = np.sort(codes)
     m = len(ordered) - t + 1  # run starts that leave room for t equal codes
     if m <= 0:

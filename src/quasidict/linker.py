@@ -110,63 +110,51 @@ def link_read(
         raise ValueError(f"window ({window}) must be >= k ({index.k})")
     length = len(read.seq)
     positions, codes = scan_kmers(read.seq, index.k)
-    if len(codes) == 0:
-        return []
     slots = index.qd.query_array(codes)
     hit = slots >= 0
-    if not hit.any():
-        return []
-    kpos = positions[hit]
-    kslot = slots[hit]
-
-    starts = index.offsets[kslot]
-    lens = index.offsets[kslot + 1] - starts
-    total = int(lens.sum())
-    if total == 0:
-        return []
-    # flatten posting ranges: target id and query position per incidence
-    which = np.repeat(np.arange(len(kslot)), lens)
-    flat = np.repeat(starts, lens) + (np.arange(total) - np.repeat(np.cumsum(lens) - lens, lens))
-    tgt = index.ids[flat]
-    pos = kpos[which]
+    starts = index.offsets[slots[hit]]
+    lens = index.offsets[slots[hit] + 1] - starts
+    # one incidence per (query position, bank read in that k-mer's posting list)
+    tgt = index.ids[np.arange(lens.sum()) + np.repeat(starts - np.cumsum(lens) + lens, lens)]
+    pos = np.repeat(positions[hit], lens)
     if exclude_self:
-        keep = tgt != read.id
-        tgt = tgt[keep]
-        pos = pos[keep]
-        if len(tgt) == 0:
-            return []
-
-    uniq_tgt, row = np.unique(tgt, return_inverse=True)
-    shared = np.bincount(row, minlength=len(uniq_tgt))  # k-mer positions shared per target
-    delta = np.zeros((len(uniq_tgt), length + 1), dtype=np.int32)
-    np.add.at(delta, (row, pos), 1)
-    np.add.at(delta, (row, pos + index.k), -1)
-    covered = np.cumsum(delta[:, :length], axis=1) > 0
-
-    if window is None or window >= length:
-        scores = covered.sum(axis=1).astype(np.int64)
-        win_starts = None
-    else:
-        prefix = np.zeros((len(uniq_tgt), length + 1), dtype=np.int32)
-        prefix[:, 1:] = np.cumsum(covered, axis=1, dtype=np.int32)
-        sums = prefix[:, window:] - prefix[:, : length - window + 1]
-        scores = sums.max(axis=1).astype(np.int64)
-        win_starts = sums.argmax(axis=1)  # first maximizer
-
-    good = (shared >= threshold) & (scores >= threshold)
-    if not good.any():
+        tgt, pos = tgt[tgt != read.id], pos[tgt != read.id]
+    if len(tgt) == 0:
         return []
-    g_tgt = uniq_tgt[good]
-    g_score = scores[good]
-    g_win = None if win_starts is None else win_starts[good]
-    order = np.lexsort((g_tgt, -g_score))
-    results = []
-    for i in order:
-        ws = None
-        if window is not None:
-            ws = 0 if g_win is None else int(g_win[i])
-        results.append(MatchResult(read.id, int(g_tgt[i]), int(g_score[i]), ws))
-    return results
+
+    # incidences sorted once by (target, position); one run of keys per target
+    span = length + 1
+    key = np.sort(tgt.astype(np.int64) * span + pos)
+    firsts = np.flatnonzero(np.diff(key // span, prepend=-1))
+    shared = np.diff(firsts, append=len(key))  # k-mer positions shared per target
+    # k-mer i owns the positions from its start up to its target's next start,
+    # at most k; owned runs are disjoint and cover what the target covers. A
+    # step to the next target is at least span - p > k, so min() caps it too.
+    owned = np.minimum(np.diff(key, append=key[-1] + index.k), index.k)
+    owned_before = np.cumsum(owned) - owned
+
+    def covered_below(x):
+        """Covered positions of target x // span in [0, x % span)."""
+        j = np.maximum(np.searchsorted(key, x, side="right") - 1, 0)
+        return owned_before[j] + np.clip(x - key[j], 0, owned[j])
+
+    # the smallest best start s scores more than s - 1, so s - 1 is uncovered;
+    # then s starts an owned run, or s + w ends one (else s + 1 scores as well):
+    # s is a k-mer start or an owned-run end - w, clamped to [0, L - w] (0 and
+    # L - w arise as clamps). Whole-read mode is the one window w = L.
+    w = length if window is None else min(window, length)
+    base = key - key % span
+    cand = np.clip(np.stack([key, key + owned - w]) - base, 0, length - w)
+    scores = covered_below(base + cand + w) - covered_below(base + cand)
+    best = np.maximum.reduceat(scores.max(axis=0), firsts)
+    at_best = np.where(scores == np.repeat(best, shared), cand, length)
+    win_starts = np.minimum.reduceat(at_best.min(axis=0), firsts)
+
+    good = np.flatnonzero((shared >= threshold) & (best >= threshold))
+    target = key[firsts] // span
+    order = good[np.lexsort((target[good], -best[good]))]
+    ws = [None] * len(best) if window is None else win_starts.tolist()
+    return [MatchResult(read.id, int(target[i]), int(best[i]), ws[i]) for i in order]
 
 
 def format_link_line(read_id: int, matches: list[MatchResult]) -> str:

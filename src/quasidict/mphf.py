@@ -114,10 +114,9 @@ class Mphf:
                 alive = alive[miss]
                 cur = cur[miss]
         if alive.size and len(self.fallback_keys):
-            loc = np.searchsorted(self.fallback_keys, cur)
-            inside = loc < len(self.fallback_keys)
-            safe = np.minimum(loc, len(self.fallback_keys) - 1)
-            match = inside & (self.fallback_keys[safe] == cur)
+            # a key past the last fallback key compares against that key and fails
+            loc = np.minimum(np.searchsorted(self.fallback_keys, cur), len(self.fallback_keys) - 1)
+            match = self.fallback_keys[loc] == cur
             out[alive[match]] = self.fallback_base + loc[match]
         return out
 

@@ -3,10 +3,15 @@
 Format is sniffed from the first byte: '>' for FASTA (multi-line
 sequences allowed), '@' for FASTQ (strict 4-line records, qualities
 discarded). Records stream in file order with ids 0, 1, 2, ...
+
+Files are read as latin-1, one character per byte, so any byte passes:
+header bytes reach the output unchanged (UTF-8 included), and a byte that
+is no nucleotide only drops the k-mer windows that touch it.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -29,13 +34,18 @@ class ReadRecord:
     seq: str
 
 
+# the ASCII whitespace of str.split(); latin-1 0x85 and 0xa0 also occur inside
+# UTF-8 characters, so they must not end a header word
+_HEADER_WORD = re.compile(r"[\t\n\v\f\r\x1c-\x1f ]*([^\t\n\v\f\r\x1c-\x1f ]*)")
+
+
 def _header_word(line: str) -> str:
-    return line[1:].split(None, 1)[0] if len(line) > 1 else ""
+    return _HEADER_WORD.match(line, 1).group(1)
 
 
 def open_reads(path: str) -> Iterator[ReadRecord]:
     """Stream records from a FASTA or FASTQ file, constant memory per record."""
-    with open(path, "r") as fh:
+    with open(path, "r", encoding="latin-1") as fh:
         first = fh.read(1)
         if first == "":
             return

@@ -106,6 +106,33 @@ def test_missing_input_is_drawn_as_one_line_error(tmp_path, capsys):
     assert "error" in err
 
 
+def test_any_byte_passes_through(tmp_path):
+    # 0xe9 is not UTF-8 on its own, 0xff is no nucleotide; "\xc3\xa0" is a UTF-8 "a grave"
+    # whose second byte is latin-1 whitespace, so it must not cut the header word
+    seg = random_genome(np.random.default_rng(7), 70)
+    bad = seg[:30] + "\xff" + seg[31:]
+    bank = tmp_path / "bank.fa"
+    bank.write_bytes(b">b\xe9 one\n" + seg.encode() + b"\n")
+    queries = tmp_path / "q.fa"
+    queries.write_bytes(
+        b">q\xe9\xff tail\n" + bad.encode("latin-1") + b"\n"
+        b">q\xc3\xa0\n" + seg[:30].encode() + b"N" + seg[31:].encode() + b"\n"
+        b">q\n" + seg.encode() + b"\n"
+    )
+    fof = tmp_path / "fof.txt"
+    fof.write_text(f"{queries}\n")
+    counts, links = tmp_path / "counts.tsv", tmp_path / "links.txt"
+    common = ["-b", str(bank), "-q", str(fof), "-k", "11", "-t", "1"]
+    assert main(["counter", *common, "-o", str(counts)]) == 0
+    assert main(["linker", *common, "-o", str(links), "-s", "1"]) == 0
+    rows = [line.split(b"\t") for line in counts.read_bytes().splitlines()]
+    assert [r[1] for r in rows] == [b"q\xe9\xff", b"q\xc3\xa0", b"q"]
+    # the 0xff byte drops exactly the 11 windows touching it, like an N does
+    assert [int(r[2]) for r in rows] == [60 - 11, 60 - 11, 60]
+    # ... and leaves only its own position uncovered
+    assert links.read_bytes().splitlines() == [b"0:0-69", b"1:0-69", b"2:0-70"]
+
+
 def test_window_below_k_exits_2(small_data):
     with pytest.raises(SystemExit) as err:
         main(["linker", "-b", small_data["bank"], "-q", small_data["fof"], "-o", "/dev/null",

@@ -123,3 +123,36 @@ def test_load_rejects_truncated_or_padded_file(tmp_path):
     path.write_bytes(blob + b"\0")
     with pytest.raises(ValueError, match="expected"):
         SolidKmerTable.load(str(path))
+
+
+def _table(codes, counts, k=4, t=1):
+    return SolidKmerTable(np.array(codes, dtype=np.uint64), np.array(counts, dtype=np.uint8), k, t)
+
+
+@pytest.mark.parametrize(
+    "table, reason",
+    [
+        (_table([1, 2], [1, 1], k=0), "k-mer length"),
+        (_table([1, 2], [1, 1], k=32), "k-mer length"),
+        (_table([1, 2], [1, 1], t=0), "solidity threshold"),
+        (_table([1, 2], [1, 1], t=256), "solidity threshold"),
+        (_table([3, 3], [1, 1]), "strictly increasing"),
+        (_table([9, 3], [1, 1]), "strictly increasing"),
+        (_table([1, 4**4], [1, 1]), "below 4\\^4"),
+        (_table([1, 2], [2, 1], t=2), "below the solidity threshold"),
+        (_table([9, 3, 3, 1 << 40], [0, 1, 1, 1], k=0, t=44), "k-mer length"),
+    ],
+    ids=["k=0", "k=32", "t=0", "t=256", "duplicate", "decreasing", "code>=4^k", "count<t", "all-at-once"],
+)
+def test_load_rejects_table_it_could_not_have_written(tmp_path, table, reason):
+    path = str(tmp_path / "table.skmt")
+    table.dump(path)
+    with pytest.raises(ValueError, match=reason):
+        SolidKmerTable.load(path)
+
+
+def test_load_accepts_extreme_valid_table(tmp_path):
+    path = str(tmp_path / "table.skmt")
+    _table([0, 4**31 - 1], [255, 255], k=31, t=255).dump(path)
+    back = SolidKmerTable.load(path)
+    assert back.codes.tolist() == [0, 4**31 - 1] and (back.k, back.t) == (31, 255)

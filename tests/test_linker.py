@@ -1,15 +1,20 @@
 """Shared-k-mer linking versus a quadratic pairwise coverage oracle."""
 
 import io
+import os
+import tempfile
 from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from quasidict import kcount, kmer, linker, seqio
 from quasidict.core import QuasiDictionary
 from quasidict.kmer import canonical, encode
-from quasidict.linker import build_linker_index, format_link_line, link_read, run_linker
+from quasidict.kmer import scan_kmers
+from quasidict.linker import MatchResult, build_linker_index, format_link_line, link_read, run_linker
 from quasidict.seqio import ReadRecord
 
 from conftest import random_genome, reads_from_genome, write_fasta
@@ -301,7 +306,99 @@ def test_output_line_for_unmatched_read():
 
 
 def test_windowed_output_format():
-    from quasidict.linker import MatchResult
-
     line = format_link_line(2, [MatchResult(2, 9, 33, 5), MatchResult(2, 11, 12, 0)])
     assert line == "2:9-33@5 11-12@0"
+
+
+def dense_link_read(index, read, threshold, window=None, exclude_self=False):
+    """Reference scorer: per-target coverage and window sums over dense
+    targets x read-length matrices (the linker's former implementation)."""
+    length = len(read.seq)
+    positions, codes = scan_kmers(read.seq, index.k)
+    if len(codes) == 0:
+        return []
+    slots = index.qd.query_array(codes)
+    hit = slots >= 0
+    tgt, pos = [], []
+    for p, s in zip(positions[hit], slots[hit]):
+        ids = index.ids[index.offsets[s] : index.offsets[s + 1]]
+        tgt.extend(ids.tolist())
+        pos.extend([int(p)] * len(ids))
+    tgt, pos = np.array(tgt, dtype=np.int64), np.array(pos, dtype=np.int64)
+    if exclude_self:
+        keep = tgt != read.id
+        tgt, pos = tgt[keep], pos[keep]
+    if len(tgt) == 0:
+        return []
+
+    uniq_tgt, row = np.unique(tgt, return_inverse=True)
+    shared = np.bincount(row, minlength=len(uniq_tgt))
+    delta = np.zeros((len(uniq_tgt), length + 1), dtype=np.int32)
+    np.add.at(delta, (row, pos), 1)
+    np.add.at(delta, (row, pos + index.k), -1)
+    covered = np.cumsum(delta[:, :length], axis=1) > 0
+    if window is None or window >= length:
+        scores = covered.sum(axis=1)
+        win_starts = np.zeros(len(uniq_tgt), dtype=np.int64)
+    else:
+        prefix = np.zeros((len(uniq_tgt), length + 1), dtype=np.int32)
+        prefix[:, 1:] = np.cumsum(covered, axis=1, dtype=np.int32)
+        sums = prefix[:, window:] - prefix[:, : length - window + 1]
+        scores = sums.max(axis=1)
+        win_starts = sums.argmax(axis=1)  # first maximizer
+    out = [
+        (-int(sc), int(t), int(ws))
+        for t, sh, sc, ws in zip(uniq_tgt, shared, scores, win_starts)
+        if sh >= threshold and sc >= threshold
+    ]
+    return [MatchResult(read.id, t, -sc, None if window is None else ws) for sc, t, ws in sorted(out)]
+
+
+@st.composite
+def linker_cases(draw):
+    k = draw(st.integers(2, 7))
+    genome = draw(st.text("ACGT", min_size=4 * k, max_size=120))
+    n = len(genome)
+
+    def piece(shortest):
+        a = draw(st.integers(0, n - k))
+        seq = genome[a : n - draw(st.integers(0, n - a - shortest))]
+        if draw(st.booleans()):  # one non-nucleotide byte
+            i = draw(st.integers(0, len(seq) - 1))
+            seq = seq[:i] + "N" + seq[i + 1 :]
+        return seq
+
+    bank = [piece(k) for _ in range(draw(st.integers(1, 8)))]
+    qid = draw(st.integers(0, len(bank)))
+    # a bank read as query: its last k-mer ends on the read's last base and is indexed
+    query = bank[qid] if qid < len(bank) and draw(st.booleans()) else piece(draw(st.sampled_from([1, k, k, k])))
+    length = len(query)
+    window = draw(
+        st.one_of(
+            st.none(),
+            st.just(k),
+            st.integers(k, max(k, length)),
+            st.integers(max(k, length), max(k, length) + 5),
+        )
+    )
+    threshold = draw(st.integers(1, 2 * k))
+    t = draw(st.integers(1, 2))
+    f = draw(st.sampled_from([2, 2 * k]))  # a noisy and an exact dictionary
+    return bank, ReadRecord(qid, "q", query), k, t, f, threshold, window, draw(st.booleans())
+
+
+@settings(deadline=None, max_examples=300)
+@given(linker_cases())
+@example(case=(["GCAT"], ReadRecord(1, "q", "GCATAAAAA"), 4, 1, 8, 1, 5, False))  # tie at start 0
+@example(case=(["ACGT"], ReadRecord(1, "q", "TTTTTACGTTTTT"), 3, 1, 6, 1, 6, False))  # best start 9 - w
+@example(case=(["ACGTA"], ReadRecord(1, "q", "ACG"), 4, 1, 8, 1, None, False))  # read shorter than k
+@example(case=(["TTACGTA"], ReadRecord(0, "q", "TTACGTA"), 3, 1, 6, 1, 3, False))  # k-mer at the end
+def test_link_read_matches_dense_reference(case):
+    bank, read, k, t, f, threshold, window, exclude_self = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "bank.fa")
+        with open(path, "w") as fh:
+            fh.writelines(f">r{i}\n{s}\n" for i, s in enumerate(bank))
+        index = build_linker_index(path, k=k, t=t, f=f)
+    want = dense_link_read(index, read, threshold, window, exclude_self)
+    assert link_read(index, read, threshold, window, exclude_self) == want

@@ -1,14 +1,16 @@
 """Property tests on arbitrary inputs: rank against a prefix-sum oracle,
-perfect-hash bijectivity, the scalar wrappers against the array path and
+perfect-hash bijectivity, the fingerprint packer against its reader, the scalar wrappers against the array path and
 against a plain-int reference walk of the structure, and the k-mer scan,
 solid-k-mer counting, counter stats and linker postings against
 brute-force string oracles."""
 
+import math
 import os
 import tempfile
 from collections import Counter
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -26,6 +28,7 @@ from quasidict.core import (
     _FINGERPRINT_TAG,
     QuasiDictionary,
     _fp_mask,
+    _pack_entries,
     fingerprint,
     fingerprint_array,
 )
@@ -94,6 +97,21 @@ def test_mphf_is_a_bijection(keyset, with_extremes):
     assert sorted(m.lookup_array(keys).tolist()) == list(range(len(keys)))
     if len(keys) <= FALLBACK_CUTOFF:
         assert m.levels == [] and len(m.fallback_keys) == len(keys)
+
+
+@pytest.mark.parametrize("f", range(1, 65))
+@settings(deadline=None, max_examples=20)
+@given(data=st.data())
+def test_pack_entries_is_inverse_of_stored_fingerprints(f, data):
+    aligned = 64 // math.gcd(64, f)  # fewest entries whose N*f bits fill whole words
+    n = data.draw(st.integers(1, 300))
+    values = data.draw(arrays(np.uint64, max(n, aligned + 1), elements=st.integers(0, (1 << f) - 1)))
+    # one entry, N*f on a word boundary, one entry past it, and a drawn count
+    for m in (1, aligned, aligned + 1, n):
+        words = _pack_entries(values[:m], f)
+        assert len(words) == (m * f + 63) // 64
+        qd = QuasiDictionary(None, words, m, f, k=31, seed=0)
+        assert qd._stored_fingerprints(np.arange(m)).tolist() == values[:m].tolist()
 
 
 @settings(deadline=None, max_examples=60)

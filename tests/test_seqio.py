@@ -17,6 +17,22 @@ def test_two_record_fasta(tmp_path):
     assert [(r.id, r.header, r.seq) for r in records] == [(0, "r0", "ACGT"), (1, "r1", "TTTT")]
 
 
+@pytest.mark.parametrize(
+    "header, word",
+    [
+        (b">   ", ""),  # blank header: an empty word, not an IndexError
+        (b">\t r0  x", "r0"),
+        (b">r0\x1cx", "r0"),  # str.split() whitespace below 0x80
+        (b">\xc3\xa0\xc2\x85 x", "\xc3\xa0\xc2\x85"),  # UTF-8 bytes 0xa0 and 0x85 stay inside the word
+    ],
+)
+def test_header_word_ends_at_ascii_whitespace(tmp_path, header, word):
+    path = tmp_path / "h.fa"
+    path.write_bytes(header + b"\nACGT\n")
+    (record,) = open_reads(str(path))
+    assert record.header == word
+
+
 def test_multiline_fasta_concatenated(tmp_path):
     seq = "ACGTACGTACGTACGTACGT"
     body = "\n".join(seq[i : i + 7] for i in range(0, len(seq), 7))
