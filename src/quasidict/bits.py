@@ -45,11 +45,8 @@ def derive_seed(master_seed: int, index: int) -> int:
 
 def pack_bool_to_words(bits: np.ndarray) -> np.ndarray:
     """Pack a 0/1 array into uint64 words, bit i at word[i >> 6] bit (i & 63)."""
-    raw = np.packbits(np.asarray(bits, dtype=np.uint8), bitorder="little")
-    pad = (-len(raw)) % 8
-    if pad:
-        raw = np.concatenate([raw, np.zeros(pad, np.uint8)])
-    return np.frombuffer(raw.tobytes(), dtype="<u8").copy()
+    raw = np.packbits(bits, bitorder="little")
+    return np.pad(raw, (0, -len(raw) % 8)).view("<u8")
 
 
 def words_to_bool(words: np.ndarray, n_bits: int) -> np.ndarray:

@@ -20,7 +20,7 @@ import struct
 
 import numpy as np
 
-from .bits import DEFAULT_SEED, MASK64, MIX_MULT_1, MIX_MULT_2, U64, check_room, key_array, mix64
+from .bits import DEFAULT_SEED, MIX_MULT_1, MIX_MULT_2, U64, check_room, key_array, mix64
 from .kmer import check_k
 from .mphf import NOT_FOUND, Mphf
 
@@ -38,7 +38,7 @@ def _check_f(f: int) -> None:
 
 
 def _fp_mask(f: int) -> int:
-    return MASK64 if f == 64 else (1 << f) - 1
+    return (1 << f) - 1
 
 
 def _fp_seed(seed: int) -> int:
@@ -102,12 +102,17 @@ class QuasiDictionary:
         gamma: float = 2.0,
         k: int = 31,
         seed: int = DEFAULT_SEED,
+        *,
+        slots=None,
     ) -> "QuasiDictionary":
-        """Index a set of distinct key codes; the set must be fully known up front."""
+        """Index a set of distinct key codes; the set must be fully known up front.
+
+        ``slots`` receives each key's dense slot, as :meth:`Mphf.construct` does.
+        """
         _check_f(f)
         keys = np.ascontiguousarray(keys, dtype=np.uint64)
-        mphf = Mphf.construct(keys, gamma=gamma, seed=seed)
-        slots = mphf.lookup_array(keys)
+        slots = np.empty(len(keys), dtype=np.int64) if slots is None else slots
+        mphf = Mphf.construct(keys, gamma=gamma, seed=seed, slots=slots)
         by_slot = np.empty(len(keys), dtype=np.uint64)
         by_slot[slots] = fingerprint_array(keys, f, k, seed)
         return cls(mphf, _pack_entries(by_slot, f), len(keys), f, k, seed)
@@ -131,13 +136,9 @@ class QuasiDictionary:
         """Vectorized :meth:`query`; int64 indices with -1 where rejected."""
         keys = np.ascontiguousarray(keys, dtype=np.uint64)
         idx = self.mphf.lookup_array(keys)
-        found = idx >= 0
-        if found.any():
-            cand = idx[found]
-            stored = self._stored_fingerprints(cand)
-            expected = fingerprint_array(keys[found], self.f, self.k, self.seed)
-            cand[stored != expected] = NOT_FOUND
-            idx[found] = cand
+        found = np.flatnonzero(idx >= 0)
+        stored = self._stored_fingerprints(idx[found])
+        idx[found[stored != fingerprint_array(keys[found], self.f, self.k, self.seed)]] = NOT_FOUND
         return idx
 
     def fingerprint_bits(self) -> int:

@@ -54,17 +54,16 @@ def build_counter_index(
 ) -> CounterIndex:
     """Index the bank's solid k-mers; each slot stores the k-mer's count."""
     table = count_solid(open_reads(bank_path), k, t)
-    qd = QuasiDictionary.create(table.codes, f=f, gamma=gamma, k=k, seed=seed)
-    counts = np.zeros(len(table), dtype=np.uint8)
-    counts[qd.query_array(table.codes)] = table.counts
+    slots = np.empty(len(table), dtype=np.int64)
+    qd = QuasiDictionary.create(table.codes, f=f, gamma=gamma, k=k, seed=seed, slots=slots)
+    counts = np.empty(len(table), dtype=np.uint8)
+    counts[slots] = table.counts
     return CounterIndex(qd, counts, k, t)
 
 
 def count_read(index: CounterIndex, read: ReadRecord) -> Optional[CountStats]:
     """Stats over the retrieved counts, or None when no k-mer was indexed."""
     _, codes = scan_kmers(read.seq, index.k)
-    if len(codes) == 0:
-        return None
     slots = index.qd.query_array(codes)
     hit = slots >= 0
     n = int(hit.sum())

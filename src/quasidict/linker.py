@@ -27,6 +27,9 @@ from .seqio import ReadRecord, open_reads
 
 DEFAULT_LINK_THRESHOLD = 10
 
+# bank read ids are stored as int32
+MAX_BANK_READS = 2**31 - 1
+
 
 @dataclass
 class MatchResult:
@@ -66,19 +69,21 @@ def build_linker_index(
 ) -> LinkerIndex:
     """Index the bank: slot -> ids of bank reads containing that solid k-mer."""
     codes, sizes = scan_reads(open_reads(bank_path), k)
+    if len(sizes) > MAX_BANK_READS:
+        raise ValueError(f"bank holds {len(sizes)} reads; read ids are int32, so at most {MAX_BANK_READS}")
     table = solid_table(codes, k, t)
-    qd = QuasiDictionary.create(table.codes, f=f, gamma=gamma, k=k, seed=seed)
     n_slots, n_targets = len(table), len(sizes)
-    if n_slots == 0:
-        return LinkerIndex(qd, np.zeros(1, np.int64), np.empty(0, np.int32), k, t, n_targets)
 
-    # Non-solid k-mers of bank reads are dropped against the exact solid table,
-    # which is still at hand here; routing them through the probabilistic query
-    # instead would plant false-positive read ids in the postings.
+    # Non-solid k-mers of bank reads are dropped against the exact solid table;
+    # routing them through the probabilistic query instead would plant
+    # false-positive read ids in the postings. The bank's codes go before the
+    # dictionary is built, so the two never hold memory at the same time.
     loc = np.minimum(np.searchsorted(table.codes, codes), n_slots - 1)
-    at = np.flatnonzero(table.codes[loc] == codes)
+    at = np.flatnonzero(table.codes[loc] == codes) if n_slots else loc[:0]  # an empty table matches nothing
     del codes
-    slot = qd.query_array(table.codes)[loc[at]]
+    slots = np.empty(n_slots, dtype=np.int64)
+    qd = QuasiDictionary.create(table.codes, f=f, gamma=gamma, k=k, seed=seed, slots=slots)
+    slot = slots[loc[at]]
     read = np.searchsorted(np.cumsum(sizes), at, side="right")
 
     # one incidence per (slot, read); sorted pairs group by slot, then read id

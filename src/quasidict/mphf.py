@@ -59,34 +59,43 @@ class Mphf:
         self.seed = seed
 
     @classmethod
-    def construct(cls, keys, gamma: float = 2.0, seed: int = DEFAULT_SEED) -> "Mphf":
-        """Build over distinct keys. O(N) expected work, deterministic per seed."""
+    def construct(cls, keys, gamma: float = 2.0, seed: int = DEFAULT_SEED, *, slots=None) -> "Mphf":
+        """Build over distinct keys. O(N) expected work, deterministic per seed.
+
+        ``slots`` (int64, one per key) receives each key's dense index as the
+        cascade freezes it; the structure is the same with or without it.
+        """
         if gamma < 1.0:
             raise ValueError(f"gamma must be >= 1.0, got {gamma}")
         keys = np.ascontiguousarray(keys, dtype=np.uint64)
         if keys.ndim != 1:
             raise ValueError("keys must be one-dimensional")
         n = len(keys)
-        if n > 1:
-            ordered = np.sort(keys)
-            dup = np.nonzero(ordered[1:] == ordered[:-1])[0]
-            if len(dup):
-                raise DuplicateKeyError(int(ordered[dup[0]]))
+        slots = np.empty(n, dtype=np.int64) if slots is None else slots
+        ordered = np.sort(keys)
+        dup = np.flatnonzero(ordered[1:] == ordered[:-1])
+        if len(dup):
+            raise DuplicateKeyError(int(ordered[dup[0]]))
+        del ordered
 
         levels: list[RankBitVector] = []
-        remaining = keys
+        remaining, index = keys, np.arange(n)
         for level in range(MAX_LEVELS):
             if remaining.size <= FALLBACK_CUTOFF:
                 break
             size = _level_size(gamma, remaining.size)
-            level_seed = derive_seed(seed, level)
-            pos = (mix64(remaining ^ U64(level_seed)) % U64(size)).astype(np.int64)
-            hits = np.bincount(pos, minlength=size)
-            alone = hits == 1
-            levels.append(RankBitVector.build(alone))
-            remaining = remaining[~alone[pos]]
+            pos = (mix64(remaining ^ U64(derive_seed(seed, level))) % U64(size)).astype(np.int64)
+            alone = np.bincount(pos, minlength=size) == 1
+            bv = RankBitVector.build(alone)
+            frozen = alone[pos]
+            # slot: the keys frozen at earlier levels plus the rank in this level
+            slots[index[frozen]] = n - remaining.size + bv.rank1_array(pos[frozen])
+            levels.append(bv)
+            remaining, index = remaining[~frozen], index[~frozen]
 
-        out = cls(levels, np.sort(remaining), n, float(gamma), seed)
+        order = np.argsort(remaining)
+        slots[index[order]] = np.arange(n - remaining.size, n)  # fallback keys last, in key order
+        out = cls(levels, remaining[order], n, float(gamma), seed)
         if gamma == 2.0 and n >= 10_000:
             bpk = out.bits_per_key()
             if bpk > 4.0:
@@ -136,16 +145,8 @@ class Mphf:
         parts = [head]
         parts.extend(bv.serialize() for bv in self.levels)
         parts.append(struct.pack("<Q", len(self.fallback_keys)))
-        if len(self.fallback_keys):
-            idx = np.arange(
-                self.fallback_base,
-                self.fallback_base + len(self.fallback_keys),
-                dtype=np.uint64,
-            )
-            pairs = np.empty(2 * len(self.fallback_keys), dtype="<u8")
-            pairs[0::2] = self.fallback_keys
-            pairs[1::2] = idx
-            parts.append(pairs.tobytes())
+        idx = np.arange(self.fallback_base, self.n_keys, dtype=np.uint64)
+        parts.append(np.column_stack([self.fallback_keys, idx]).astype("<u8").tobytes())
         return b"".join(parts)
 
     @classmethod

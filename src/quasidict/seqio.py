@@ -2,7 +2,8 @@
 
 Format is sniffed from the first byte: '>' for FASTA (multi-line
 sequences allowed), '@' for FASTQ (strict 4-line records, qualities
-discarded). Records stream in file order with ids 0, 1, 2, ...
+discarded). A file that starts with the gzip magic bytes 1f 8b is read
+through gzip. Records stream in file order with ids 0, 1, 2, ...
 
 Files are read as latin-1, one character per byte, so any byte passes:
 header bytes reach the output unchanged (UTF-8 included), and a byte that
@@ -11,18 +12,21 @@ is no nucleotide only drops the k-mer windows that touch it.
 
 from __future__ import annotations
 
+import gzip
 import re
+import zlib
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterator
 
 
 class ParseError(ValueError):
-    """Malformed read file; carries the offending line number (1-based)."""
+    """Malformed read file; carries the offending line number (1-based, None if unknown)."""
 
-    def __init__(self, path: str, line: int, reason: str):
+    def __init__(self, path: str, line: int | None, reason: str):
         self.path = path
         self.line = line
-        super().__init__(f"{path}:{line}: {reason}")
+        super().__init__(f"{path}:{line}: {reason}" if line else f"{path}: {reason}")
 
 
 @dataclass
@@ -44,18 +48,23 @@ def _header_word(line: str) -> str:
 
 
 def open_reads(path: str) -> Iterator[ReadRecord]:
-    """Stream records from a FASTA or FASTQ file, constant memory per record."""
-    with open(path, "r", encoding="latin-1") as fh:
-        first = fh.read(1)
-        if first == "":
-            return
-        fh.seek(0)
-        if first == ">":
-            yield from _read_fasta(path, fh)
-        elif first == "@":
-            yield from _read_fastq(path, fh)
-        else:
-            raise ParseError(path, 1, f"unrecognized first byte {first!r}; expected '>' or '@'")
+    """Stream records from a FASTA or FASTQ file, plain or gzip, constant memory per record."""
+    with open(path, "rb") as fh:
+        gzipped = fh.read(2) == b"\x1f\x8b"
+    with (gzip.open if gzipped else open)(path, "rt", encoding="latin-1") as fh:
+        try:
+            first = fh.read(1)
+            if first == "":
+                return
+            fh.seek(0)
+            if first == ">":
+                yield from _read_fasta(path, fh)
+            elif first == "@":
+                yield from _read_fastq(path, fh)
+            else:
+                raise ParseError(path, 1, f"unrecognized first byte {first!r}; expected '>' or '@'")
+        except (EOFError, zlib.error, gzip.BadGzipFile) as exc:
+            raise ParseError(path, None, f"damaged gzip data: {exc}") from exc
 
 
 def _read_fasta(path: str, fh) -> Iterator[ReadRecord]:
@@ -63,7 +72,8 @@ def _read_fasta(path: str, fh) -> Iterator[ReadRecord]:
     header = None
     header_line = 0
     chunks: list[str] = []
-    for lineno, line in enumerate(fh, start=1):
+    # the sentinel header after the last line emits the last record
+    for lineno, line in enumerate(chain(fh, [">"]), start=1):
         line = line.rstrip("\n").rstrip("\r")
         if line.startswith(">"):
             if header is not None:
@@ -80,11 +90,6 @@ def _read_fasta(path: str, fh) -> Iterator[ReadRecord]:
                 raise ParseError(path, lineno, "sequence data before first '>' header")
             if line:
                 chunks.append(line)
-    if header is not None:
-        seq = "".join(chunks)
-        if not seq:
-            raise ParseError(path, header_line, "record has empty sequence")
-        yield ReadRecord(rid, header, seq)
 
 
 def _read_fastq(path: str, fh) -> Iterator[ReadRecord]:

@@ -1,4 +1,6 @@
-"""Shared fixture helpers: synthetic read sets with genuine k-mer overlap."""
+"""Shared fixture helpers: synthetic read sets with genuine k-mer overlap, damaged gzip."""
+
+import gzip
 
 import numpy as np
 
@@ -28,3 +30,14 @@ def write_fasta(path, seqs, prefix="r"):
         for i, s in enumerate(seqs):
             fh.write(f">{prefix}{i}\n{s}\n")
     return str(path)
+
+
+def damaged_gzip(data: bytes, damage: str) -> bytes:
+    """``data`` gzipped, then cut short or with its first deflate block type made invalid."""
+    packed = bytearray(gzip.compress(data, mtime=0))
+    if damage == "truncated":
+        return bytes(packed[: len(packed) // 2])
+    # bits 1-2 of the byte after the 10-byte header are the block type; 3 is reserved
+    assert (packed[10] >> 1) & 3 in (1, 2)
+    packed[10] ^= 2 if (packed[10] >> 1) & 3 == 2 else 4
+    return bytes(packed)

@@ -1,11 +1,17 @@
 """The benchmark's tracer wraps quasidict callables by name; every name it
-lists must still resolve, so a rename in src/ fails here, not only in a
-traced benchmark run."""
+lists must still resolve, and every count hook must still read what the
+wrapped callable returns, so a rename or a changed return type in src/ fails
+here, not only in a traced benchmark run."""
 
 import types
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from quasidict.cli import main
+
+from conftest import random_genome, reads_from_genome, write_fasta
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
@@ -23,3 +29,26 @@ def test_every_traced_name_resolves(tracing):
     assert specs
     for spec in specs:
         assert callable(tracing.resolve(spec)), spec
+
+
+def test_traced_runs_fill_every_count_hook(tracing, tmp_path):
+    rng = np.random.default_rng(4)
+    genome = random_genome(rng, 600)
+    bank = write_fasta(tmp_path / "bank.fa", reads_from_genome(rng, genome, 40, 60))
+    n_queries = 12
+    fof = tmp_path / "fof.txt"
+    fof.write_text(write_fasta(tmp_path / "q.fa", reads_from_genome(rng, genome, n_queries, 60)) + "\n")
+    tracer = tracing.Tracer()
+    patches = tracing.install(tracer)
+    try:
+        for command in ("counter", "linker"):
+            out = str(tmp_path / f"{command}.out")
+            assert main([command, "-b", bank, "-q", str(fof), "-o", out, "-k", "11", "-t", "1"]) == 0
+    finally:
+        patches.restore()
+    counts = tracer.counts
+    assert all(counts[name]["calls"] > 0 for name in tracer.hooks)
+    assert counts["mphf.construct"]["levels"] > 0
+    assert counts["linker.build_linker_index"]["postings"] > 0
+    # one query per query read; the builds take their slots from construction
+    assert counts["core.query_array"]["calls"] == 2 * n_queries

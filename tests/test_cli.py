@@ -1,5 +1,6 @@
 """Command-line surface: flags, validation, outputs, determinism."""
 
+import gzip
 import os
 import subprocess
 import sys
@@ -11,7 +12,7 @@ import pytest
 
 from quasidict.cli import _VERSION_TEXT, main, main_counter, main_linker, main_score, main_sim
 
-from conftest import random_genome, reads_from_genome, write_fasta
+from conftest import damaged_gzip, random_genome, reads_from_genome, write_fasta
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -104,6 +105,28 @@ def test_missing_input_is_drawn_as_one_line_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert "error" in err
+
+
+def test_gzipped_read_sets_give_the_plain_output(small_data):
+    d = small_data["dir"]
+    query = open(small_data["fof"]).read().strip()
+    for path in (small_data["bank"], query):
+        Path(path + ".gz").write_bytes(gzip.compress(Path(path).read_bytes()))
+    (d / "gz.fof").write_text(query + ".gz\n")
+    plain = small_data["bank"]
+    for bank, fof, out in ((plain, small_data["fof"], "plain.tsv"), (plain + ".gz", d / "gz.fof", "gz.tsv")):
+        assert main(["counter", "-b", bank, "-q", str(fof), "-o", str(d / out), "-k", "11", "-t", "1"]) == 0
+    assert (d / "gz.tsv").read_bytes() == (d / "plain.tsv").read_bytes()
+
+
+@pytest.mark.parametrize("damage", ["truncated", "flipped"])
+def test_damaged_gzip_is_a_one_line_error(small_data, capsys, damage):
+    bank = small_data["dir"] / "bank.fa.gz"
+    bank.write_bytes(damaged_gzip(Path(small_data["bank"]).read_bytes(), damage))
+    rc = main(["counter", "-b", str(bank), "-q", small_data["fof"], "-o", str(small_data["dir"] / "o.tsv")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("qd counter: error:") and err.count("\n") == 1
 
 
 def test_any_byte_passes_through(tmp_path):

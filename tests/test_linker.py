@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from quasidict import kcount, kmer, linker, seqio
+from quasidict.cli import main
 from quasidict.core import QuasiDictionary
 from quasidict.kmer import canonical, encode
 from quasidict.kmer import scan_kmers
@@ -147,7 +148,24 @@ def test_build_scans_the_bank_once(tmp_path, monkeypatch):
     assert index.n_targets == len(seqs)
     assert calls["open_reads"] == 1
     assert calls["scan_kmers"] == len(seqs)
-    assert calls["query_array"] <= 1
+    # construction hands out the slots, so the build queries nothing
+    assert calls["query_array"] == 0
+
+
+def test_bank_read_ids_must_fit_int32(tmp_path, monkeypatch, capsys):
+    # ids are int32; a lowered limit stands in for a bank of 2**31 reads
+    monkeypatch.setattr(linker, "MAX_BANK_READS", 3)
+    seqs = ["ACGTTGCAAC", "GGATCCATGA", "TTGACCAGTA", "CAGTTGACCA"]
+    assert build_linker_index(write_fasta(tmp_path / "three.fa", seqs[:3]), k=5, t=1).n_targets == 3
+    bank = write_fasta(tmp_path / "four.fa", seqs)
+    with pytest.raises(ValueError, match="int32"):
+        build_linker_index(bank, k=5, t=1)
+    fof = tmp_path / "fof.txt"
+    fof.write_text(bank + "\n")
+    out = str(tmp_path / "o.txt")
+    assert main(["linker", "-b", bank, "-q", str(fof), "-o", out, "-k", "5", "-t", "1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("qd linker: error:") and err.count("\n") == 1
 
 
 def test_identical_read_full_coverage(tmp_path):

@@ -1,8 +1,9 @@
 """Property tests on arbitrary inputs: rank against a prefix-sum oracle,
-perfect-hash bijectivity, the fingerprint packer against its reader, the scalar wrappers against the array path and
-against a plain-int reference walk of the structure, and the k-mer scan,
-solid-k-mer counting, counter stats and linker postings against
-brute-force string oracles."""
+perfect-hash bijectivity and the slots construction writes, the fingerprint
+packer against its reader, the scalar wrappers against the array path and
+against a plain-int reference walk of the structure, index save/load and
+damaged index buffers, and the k-mer scan, solid-k-mer counting, counter
+stats and linker postings against brute-force string oracles."""
 
 import math
 import os
@@ -88,13 +89,20 @@ def test_rank_and_get_match_prefix_oracle(bits):
 
 
 @settings(deadline=None, max_examples=100)
-@given(st.sets(u64, max_size=300), st.booleans())
-def test_mphf_is_a_bijection(keyset, with_extremes):
+@given(st.lists(u64, unique=True, max_size=300), st.booleans())
+@example(keylist=[], with_extremes=False)
+@example(keylist=[9, 3, 7, 1], with_extremes=False)  # FALLBACK_CUTOFF keys, all in the fallback
+@example(keylist=list(range(1000, 0, -7)), with_extremes=False)  # levels and 2 fallback keys
+def test_mphf_is_a_bijection(keylist, with_extremes):
     if with_extremes:
-        keyset |= {0, MAX_U64}
-    keys = np.array(sorted(keyset), dtype=np.uint64)
-    m = Mphf.construct(keys)
+        keylist = list(dict.fromkeys([*keylist, 0, MAX_U64]))
+    keys = np.array(keylist, dtype=np.uint64)  # in drawn order, not sorted
+    slots = np.full(len(keys), -7, dtype=np.int64)
+    m = Mphf.construct(keys, slots=slots)
     assert sorted(m.lookup_array(keys).tolist()) == list(range(len(keys)))
+    # construction writes the slot every key looks up to
+    assert slots.tolist() == m.lookup_array(keys).tolist()
+    assert m.serialize() == Mphf.construct(keys).serialize()
     if len(keys) <= FALLBACK_CUTOFF:
         assert m.levels == [] and len(m.fallback_keys) == len(keys)
 
@@ -116,14 +124,16 @@ def test_pack_entries_is_inverse_of_stored_fingerprints(f, data):
 
 @settings(deadline=None, max_examples=60)
 @given(
-    st.sets(u64, min_size=1, max_size=200),
+    st.lists(u64, unique=True, min_size=1, max_size=200),
     st.lists(u64, max_size=20),
     st.integers(1, 64),
     st.integers(1, 32),
 )
-def test_scalar_wrappers_equal_array_path_and_reference(keyset, probes, f, k):
-    keys = sorted(keyset)
-    qd = QuasiDictionary.create(np.array(keys, dtype=np.uint64), f=f, k=k)
+def test_scalar_wrappers_equal_array_path_and_reference(keys, probes, f, k):
+    slots = np.empty(len(keys), dtype=np.int64)
+    qd = QuasiDictionary.create(np.array(keys, dtype=np.uint64), f=f, k=k, slots=slots)
+    assert qd.serialize() == QuasiDictionary.create(np.array(keys, dtype=np.uint64), f=f, k=k).serialize()
+    assert slots.tolist() == qd.query_array(np.array(keys, dtype=np.uint64)).tolist()
     batch = keys + probes
     arr = np.array(batch, dtype=np.uint64)
     lookups = [qd.mphf.lookup(x) for x in batch]
@@ -135,6 +145,37 @@ def test_scalar_wrappers_equal_array_path_and_reference(keyset, probes, f, k):
     if f != 2 * k:
         fp_seed = mix64_reference(qd.seed ^ _FINGERPRINT_TAG)
         assert fps == [mix64_reference(x ^ fp_seed) & _fp_mask(f) for x in batch]
+
+
+@pytest.mark.parametrize("f", range(1, 65))
+@settings(deadline=None, max_examples=5)
+@given(st.lists(u64, unique=True, max_size=200), st.lists(u64, max_size=20))
+def test_save_load_round_trip(f, keys, probes):
+    qd = QuasiDictionary.create(np.array(keys, dtype=np.uint64), f=f)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "index.qd")
+        qd.save(path)
+        back = QuasiDictionary.load(path)
+    batch = np.array(keys + probes, dtype=np.uint64)
+    assert back.serialize() == qd.serialize()
+    assert back.query_array(batch).tolist() == qd.query_array(batch).tolist()
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.lists(u64, unique=True, max_size=100), st.integers(1, 64), st.data())
+def test_damaged_index_loads_and_answers_or_raises_value_error(keys, f, data):
+    buf = QuasiDictionary.create(np.array(keys, dtype=np.uint64), f=f).serialize()
+    cut = data.draw(st.integers(0, len(buf) - 1), label="cut")
+    bit = data.draw(st.integers(0, 8 * len(buf) - 1), label="bit")
+    flipped = bytearray(buf)
+    flipped[bit // 8] ^= 1 << (bit % 8)
+    probes = np.array(keys + [0, MAX_U64], dtype=np.uint64)
+    for damaged in (buf[:cut], bytes(flipped)):
+        try:
+            qd = QuasiDictionary.deserialize(damaged)
+        except ValueError:
+            continue
+        assert len(qd.query_array(probes)) == len(probes)
 
 
 @settings(deadline=None)

@@ -1,8 +1,13 @@
 """FASTA/FASTQ parsing fixtures written on the fly and read back."""
 
+import gzip
+import zlib
+
 import pytest
 
 from quasidict.seqio import ParseError, open_file_of_files, open_reads
+
+from conftest import damaged_gzip
 
 
 def write(tmp_path, name, text):
@@ -31,6 +36,27 @@ def test_header_word_ends_at_ascii_whitespace(tmp_path, header, word):
     path.write_bytes(header + b"\nACGT\n")
     (record,) = open_reads(str(path))
     assert record.header == word
+
+
+@pytest.mark.parametrize(
+    "name, text",
+    [("a.fa", ">r0 x\nACGTAC\nGT\n>r1\nTTTT\n"), ("a.fq", "@x y\nAC\n+\n!!\n@y\nGT\n+x\n!!\n")],
+    ids=["fasta", "fastq"],
+)
+def test_gzip_gives_the_plain_records(tmp_path, name, text):
+    plain = write(tmp_path, name, text)
+    packed = tmp_path / f"{name}.gz"
+    packed.write_bytes(gzip.compress(text.encode()))
+    assert list(open_reads(str(packed))) == list(open_reads(plain))
+
+
+@pytest.mark.parametrize("damage, cause", [("truncated", EOFError), ("flipped", zlib.error)])
+def test_damaged_gzip_is_a_parse_error(tmp_path, damage, cause):
+    path = tmp_path / "bad.fa.gz"
+    path.write_bytes(damaged_gzip(b">r0\n" + b"ACGT" * 200 + b"\n", damage))
+    with pytest.raises(ParseError, match="damaged gzip") as err:
+        list(open_reads(str(path)))
+    assert isinstance(err.value.__cause__, cause)
 
 
 def test_multiline_fasta_concatenated(tmp_path):
