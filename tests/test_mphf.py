@@ -6,10 +6,12 @@ import pytest
 from quasidict.bitrank import RankBitVector
 from quasidict.mphf import NOT_FOUND, DuplicateKeyError, Mphf
 
+from conftest import distinct_draw
+
 
 def random_keys(n, seed):
     rng = np.random.default_rng(seed)
-    keys = np.unique(rng.integers(0, 1 << 62, size=2 * n + 16, dtype=np.uint64))
+    keys = distinct_draw(rng, 2 * n + 16)
     assert len(keys) >= n
     rng.shuffle(keys[:n])
     return keys[:n]
@@ -60,7 +62,7 @@ def test_gamma_below_one_rejected():
 def test_non_keys_in_range_or_not_found():
     keys = random_keys(100_000, seed=2)
     m = Mphf.construct(keys)
-    fresh = np.unique(np.random.default_rng(3).integers(0, 1 << 62, size=120_000, dtype=np.uint64))
+    fresh = distinct_draw(np.random.default_rng(3), 120_000)
     fresh = np.setdiff1d(fresh, keys, assume_unique=True)[:100_000]
     got = m.lookup_array(fresh)
     assert ((got == NOT_FOUND) | ((got >= 0) & (got < m.n_keys))).all()

@@ -2,7 +2,8 @@
 perfect-hash bijectivity and the slots construction writes, the fingerprint
 packer against its reader, the scalar wrappers against the array path and
 against a plain-int reference walk of the structure, index save/load and
-damaged index buffers, and the k-mer scan, solid-k-mer counting, counter
+damaged index buffers, the sorted-array rules against Counter and dict
+oracles, and the k-mer scan, solid-k-mer counting, counter
 stats and linker postings against brute-force string oracles."""
 
 import math
@@ -23,6 +24,8 @@ from quasidict.bits import (
     MIX_MULT_2,
     SEED_STREAM_INCREMENT,
     derive_seed,
+    distinct,
+    locate,
     words_to_bool,
 )
 from quasidict.core import (
@@ -183,6 +186,42 @@ def test_damaged_index_loads_and_answers_or_raises_value_error(keys, f, data):
 def test_seed_stream_matches_reference(master, index):
     expected = mix64_reference((master + (index + 1) * SEED_STREAM_INCREMENT) & MASK64)
     assert derive_seed(master, index) == expected
+
+
+# runs of (value, copies); the uint64 extremes become -1, 0 and the int64
+# extremes when the same bits are read as int64 pair keys
+value_runs = st.lists(
+    st.tuples(st.sampled_from([0, 1, 2**63 - 1, 2**63, MAX_U64]) | u64, st.integers(1, 300)), max_size=8
+)
+
+
+@settings(deadline=None, max_examples=150)
+@given(value_runs, st.sampled_from([1, 2, 255]), st.sampled_from([np.uint64, np.int64]))
+@example(runs=[], t=1, dtype=np.uint64)
+@example(runs=[(7, 2), (9, 1)], t=255, dtype=np.uint64)  # fewer values than t
+@example(runs=[(MAX_U64, 255)], t=255, dtype=np.uint64)  # all equal, exactly t of them
+@example(runs=[(0, 254), (MAX_U64, 256)], t=255, dtype=np.uint64)
+@example(runs=[(2**63, 3), (2**63 - 1, 2), (MAX_U64, 1)], t=2, dtype=np.int64)
+def test_distinct_matches_counter(runs, t, dtype):
+    repeated = np.repeat(np.array([v for v, _ in runs], dtype=np.uint64), [n for _, n in runs]).view(dtype)
+    values = np.random.default_rng(len(repeated)).permutation(repeated)
+    kept, counts = distinct(values, t)
+    want = sorted((v, n) for v, n in Counter(values.tolist()).items() if n >= t)
+    assert list(zip(kept.tolist(), counts.tolist())) == want
+    assert kept.dtype == dtype
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.lists(u64, unique=True, max_size=60), st.lists(u64, max_size=60))
+@example(table=[], probes=[5])
+@example(table=[MAX_U64], probes=[])
+def test_locate_matches_dict_oracle(table, probes):
+    table.sort()
+    index = {v: i for i, v in enumerate(table)}
+    # every entry, and the values just below and above each one and the range ends
+    probes = [*probes, 0, MAX_U64, *table, *(v - 1 for v in table if v), *(v + 1 for v in table if v < MAX_U64)]
+    got = locate(np.array(table, dtype=np.uint64), np.array(probes, dtype=np.uint64))
+    assert got.tolist() == [index.get(p, -1) for p in probes]
 
 
 def window_oracle(seq, k):

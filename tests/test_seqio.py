@@ -85,6 +85,26 @@ def test_fastq_plus_mismatch_names_line(tmp_path):
     assert err.value.line == 3
 
 
+@pytest.mark.parametrize(
+    "second, line, reason",
+    [
+        ("b\nAC\n+\n!!\n", 5, "expected '@' header line"),
+        ("@b\nAC\n+\n", 5, "truncated record (need 4 lines)"),
+        ("@b\n\n+\n\n", 6, "record has empty sequence"),
+        ("@b\nAC\nGT\n+\n", 7, "expected '+' separator line"),  # a wrapped sequence
+        ("@b\nAC\n+\n!\n", 8, "quality length differs from sequence length"),
+    ],
+    ids=["header", "truncated", "empty", "separator", "quality"],
+)
+def test_fastq_error_in_second_record_names_its_line(tmp_path, second, line, reason):
+    path = write(tmp_path, "bad.fq", "@a\nAC\n+\n!!\n" + second)
+    records = open_reads(path)
+    assert next(records).header == "a"
+    with pytest.raises(ParseError) as err:
+        next(records)
+    assert (err.value.line, str(err.value)) == (line, f"{path}:{line}: {reason}")
+
+
 def test_fastq_truncated(tmp_path):
     path = write(tmp_path, "trunc.fq", "@x\nAC\n+\n")
     with pytest.raises(ParseError):
