@@ -1,5 +1,7 @@
 """Simulator determinism and error calibration; recall/precision arithmetic."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from quasidict.evaluation import (
     simulate,
     write_truth,
 )
+from quasidict.cli import main
 from quasidict.seqio import open_reads
 
 
@@ -72,6 +75,30 @@ def test_deterministic_bytes(tmp_path):
     assert (tmp_path / "a.fa").read_bytes() != (tmp_path / "c.fa").read_bytes()
 
 
+@pytest.mark.parametrize(
+    "argv, fasta_sha, truth_sha",
+    [
+        (
+            ["--read-len", "300", "--error-rate", "0.15", "--seed", "3"],
+            "3184da5cf01a8e81fe28da45e2fe09ac6a3436b15d83dba1c690926bee1d32fc",
+            "cea5774ea5b0e651402083ee03b9f7f76f974131f580f2abd2d2649e7f15ef68",
+        ),
+        # 30 bp at 1%: most reads draw no error at all
+        (
+            ["--read-len", "30", "--error-rate", "0.01", "--seed", "7"],
+            "002264efa7c13cf43a3935ec554a94f3cd0a421634cf3081016a0e9c9bce9d5c",
+            "cea5774ea5b0e651402083ee03b9f7f76f974131f580f2abd2d2649e7f15ef68",
+        ),
+    ],
+)
+def test_sim_bytes_are_pinned(tmp_path, argv, fasta_sha, truth_sha):
+    reads, truth = tmp_path / "r.fa", tmp_path / "t.tsv"
+    common = ["--genome-len", "20000", "--spots", "4", "--reads-per-spot", "5", "--gap", "100"]
+    assert main(["sim", *common, *argv, "-o", str(reads), "--truth", str(truth)]) == 0
+    assert hashlib.sha256(reads.read_bytes()).hexdigest() == fasta_sha
+    assert hashlib.sha256(truth.read_bytes()).hexdigest() == truth_sha
+
+
 def test_spots_respect_gap(tmp_path):
     cfg = small_cfg(n_spots=6, spot_min_gap=150)
     simulate(cfg, str(tmp_path / "r.fa"))
@@ -117,6 +144,19 @@ def test_insertion_and_deletion_change_length():
     longer = apply_errors(seq, 0.2, rng, kinds=("ins",))
     shorter = apply_errors(seq, 0.2, rng, kinds=("del",))
     assert len(longer) > len(seq) > len(shorter)
+
+
+@pytest.mark.parametrize(
+    "kinds, expected",
+    [
+        (("sub",), "CCGAAGACAGTCACATTGCAAGTCACGTTCCATGTAACGTAGCAAGTT"),
+        (("ins",), "AACGATTTGACGAAGTCACAGTTGCAAGTCACGTTCGCATAGTCCACGTCTGCAAGTAC"),
+        (("del",), "CGGAGTCACTTGCAAGTCACGTTCAGTACGTGCAAGT"),
+    ],
+)
+def test_apply_errors_is_pinned(kinds, expected):
+    template = "ACGTTGCAAGTC" * 4
+    assert apply_errors(template, 0.2, np.random.default_rng(11), kinds=kinds) == expected
 
 
 # ---------------------------------------------------------------- score
