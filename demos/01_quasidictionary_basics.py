@@ -10,8 +10,15 @@ from quasidict import QuasiDictionary
 
 rng = np.random.default_rng(2024)
 
+
+def distinct_draws(size):
+    """The sorted distinct values of ``size`` random 62-bit draws."""
+    draws = np.sort(rng.integers(0, 1 << 62, size=size, dtype=np.uint64))
+    return draws[np.append(True, draws[1:] != draws[:-1])]
+
+
 # a static set of one million 62-bit keys (think: 31-mer codes)
-keys = np.unique(rng.integers(0, 1 << 62, size=1_100_000, dtype=np.uint64))[:1_000_000]
+keys = distinct_draws(1_100_000)[:1_000_000]
 
 qd = QuasiDictionary.create(keys, f=12)
 print(f"indexed keys:        {qd.n_keys:,}")
@@ -32,7 +39,7 @@ assert values[qd.query(probe)] == probe % 97
 print(f"value lookup through the dictionary: key {probe:#x} -> {values[qd.query(probe)]}")
 
 # foreign keys are rejected with probability about 1 - 2**-12
-fresh = np.unique(rng.integers(0, 1 << 62, size=200_000, dtype=np.uint64))
+fresh = distinct_draws(200_000)
 fresh = np.setdiff1d(fresh, keys, assume_unique=True)
 answers = qd.query_array(fresh)
 print(f"foreign keys accepted: {(answers >= 0).sum()} of {len(fresh)} "

@@ -10,7 +10,8 @@ import numpy as np
 from quasidict import QuasiDictionary
 
 rng = np.random.default_rng(7)
-pool = np.unique(rng.integers(0, 1 << 62, size=1_300_000, dtype=np.uint64))
+draws = np.sort(rng.integers(0, 1 << 62, size=1_300_000, dtype=np.uint64))
+pool = draws[np.append(True, draws[1:] != draws[:-1])]  # distinct, sorted
 keys, probes = pool[:600_000], pool[600_000:1_100_000]
 
 print(f"{'f':>3} {'bits/key':>9} {'observed fp':>12} {'expected':>10}")

@@ -14,7 +14,7 @@ from .bitrank import RankBitVector
 from .bits import DEFAULT_SEED
 from .core import NOT_FOUND, QuasiDictionary, fingerprint
 from .counter import CountStats, CounterIndex, build_counter_index, count_read
-from .evaluation import GroundTruth, SimConfig, score, simulate
+from .evaluation import SimConfig, score, simulate
 from .kcount import SolidKmerTable, count_solid
 from .kmer import NonNucleotideError, canonical, decode, encode, iter_kmers, revcomp
 from .linker import LinkerIndex, MatchResult, build_linker_index, link_read
@@ -52,7 +52,6 @@ __all__ = [
     "build_linker_index",
     "link_read",
     "SimConfig",
-    "GroundTruth",
     "simulate",
     "score",
     "__version__",

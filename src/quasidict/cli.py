@@ -11,8 +11,8 @@ One umbrella binary, ``qd``, with subcommands:
 ``src-counter``, ``src-linker``, ``qd-sim`` and ``qd-score`` install as
 aliases of the corresponding subcommands. Everything is deterministic
 given --seed; --threads is accepted and validated but this implementation
-processes batches on a single thread (numpy vectorization does the heavy
-lifting), so results never depend on it.
+runs on a single thread (counter and linker query one read at a time, each
+vectorized over its own k-mers), so results never depend on it.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ from .evaluation import SimConfig, load_truth, pairs_from_linker_output, score, 
 from .kcount import COUNT_CAP, count_solid
 from .kmer import MAX_K
 from .linker import DEFAULT_LINK_THRESHOLD, run_linker
+from .mphf import MAX_GAMMA
 from .seqio import open_file_of_files, open_reads
 
 _VERSION_TEXT = (
@@ -47,8 +48,8 @@ def _add_index_options(p: argparse.ArgumentParser, default_t: int = 2) -> None:
     p.add_argument("-k", type=int, default=31, help="k-mer length (1..31)")
     p.add_argument("-t", type=int, default=default_t, help="solidity threshold (1..255)")
     p.add_argument("-f", type=int, default=12, help="fingerprint width in bits (1..64)")
-    p.add_argument("--gamma", type=float, default=2.0, help="hash expansion factor (>= 1.0)")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="master seed")
+    p.add_argument("--gamma", type=float, default=2.0, help=f"hash expansion factor (1.0..{MAX_GAMMA})")
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="master seed (0..2**64-1)")
     p.add_argument("--threads", type=int, default=1, help="worker bound (>= 1)")
 
 
@@ -57,12 +58,12 @@ def _check_ranges(parser: argparse.ArgumentParser, args: argparse.Namespace) -> 
         value = getattr(args, name, None)
         if value is not None and not lo <= value <= hi:
             parser.error(f"-{name} must be in [{lo}, {hi}], got {value}")
-    if getattr(args, "gamma", 1.0) < 1.0:
-        parser.error(f"--gamma must be >= 1.0, got {args.gamma}")
+    if not 1.0 <= getattr(args, "gamma", 1.0) <= MAX_GAMMA:  # also false for nan
+        parser.error(f"--gamma must be in [1.0, {MAX_GAMMA}], got {args.gamma}")
     if getattr(args, "threads", 1) < 1:
         parser.error(f"--threads must be >= 1, got {args.threads}")
-    if getattr(args, "seed", 0) < 0:
-        parser.error(f"--seed must be >= 0, got {args.seed}")
+    if not 0 <= getattr(args, "seed", 0) < 1 << 64:
+        parser.error(f"--seed must be in [0, 2**64), got {args.seed}")
     window = getattr(args, "w", None)
     if window is not None and window < args.k:
         parser.error(f"-w ({window}) must be >= the k-mer length ({args.k})")

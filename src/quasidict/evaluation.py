@@ -4,7 +4,8 @@
 noisy reads of each spot (random strand; substitutions, insertions and
 deletions in equal thirds at a configurable per-base rate). Reads from
 the same spot are fully overlapping by construction, so ground truth is
-simply every intra-spot read pair and no third-party mapper is needed.
+simply the set of intra-spot read-id pairs (a, b) with a < b, and no
+third-party mapper is needed.
 
 ``score`` compares a predicted set of unordered read-id pairs against
 the ground truth: recall is the fraction of truth pairs recovered,
@@ -14,13 +15,15 @@ their harmonic mean.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable
 
 import numpy as np
 
-_BASES = "ACGT"
+_BASES = np.frombuffer(b"ACGT", dtype=np.uint8)
+_BASE_INDEX = np.zeros(256, dtype=np.uint8)
+_BASE_INDEX[_BASES] = np.arange(4)
 _COMPLEMENT = str.maketrans("ACGT", "TGCA")
 
 ERROR_KINDS = ("sub", "ins", "del")
@@ -48,16 +51,6 @@ class SimConfig:
             )
 
 
-@dataclass
-class GroundTruth:
-    """Unordered read-id couples drawn from the same spot; stored with a < b."""
-
-    pairs: set = field(default_factory=set)
-
-    def __len__(self) -> int:
-        return len(self.pairs)
-
-
 def normalize_pairs(pairs: Iterable[tuple[int, int]]) -> set:
     """Orient each couple as (min, max); rejects self-pairs."""
     out = set()
@@ -69,8 +62,7 @@ def normalize_pairs(pairs: Iterable[tuple[int, int]]) -> set:
 
 
 def _random_genome(rng: np.random.Generator, length: int) -> str:
-    lut = np.frombuffer(b"ACGT", dtype=np.uint8)
-    return lut[rng.integers(0, 4, size=length)].tobytes().decode("ascii")
+    return _BASES[rng.integers(0, 4, size=length)].tobytes().decode("ascii")
 
 
 def _revcomp_str(seq: str) -> str:
@@ -86,8 +78,8 @@ def apply_errors(
     """Per-base i.i.d. errors: each base errs with probability ``rate``,
     the error kind drawn uniformly from ``kinds``.
 
-    Substitution replaces the base with one of the three others, insertion
-    adds a random base before the current one, deletion drops it.
+    Substitution replaces an ACGT base with one of the three others,
+    insertion adds a random base before the current one, deletion drops it.
     """
     if rate <= 0.0:
         return seq
@@ -98,25 +90,22 @@ def apply_errors(
     kind = rng.integers(0, len(kinds), size=len(err))
     sub_off = rng.integers(1, 4, size=len(err))  # shift to one of the 3 other bases
     ins_base = rng.integers(0, 4, size=len(err))
-    out = []
-    prev = 0
-    for where, which, off, ins in zip(err, kind, sub_off, ins_base):
-        out.append(seq[prev:where])
-        action = kinds[which]
-        base = seq[where]
-        if action == "sub":
-            out.append(_BASES[(_BASES.index(base) + off) % 4])
-        elif action == "ins":
-            out.append(_BASES[ins])
-            out.append(base)
-        # deletion emits nothing
-        prev = where + 1
-    out.append(seq[prev:])
-    return "".join(out)
+    is_sub = np.array([k == "sub" for k in kinds])[kind]
+    is_ins = np.array([k == "ins" for k in kinds])[kind]
+    base = np.frombuffer(bytearray(seq, "ascii"), dtype=np.uint8)
+    sub = err[is_sub]
+    base[sub] = _BASES[(_BASE_INDEX[base[sub]] + sub_off[is_sub]) % 4]
+    # copies of each base in the read: 2 with a base inserted before it, 0 if deleted
+    emit = np.ones(n, dtype=np.int64)
+    emit[err] = is_sub + 2 * is_ins
+    out = np.repeat(base, emit)
+    out[np.cumsum(emit)[err[is_ins]] - 2] = _BASES[ins_base[is_ins]]
+    return out.tobytes().decode("ascii")
 
 
-def simulate(cfg: SimConfig, reads_path: str, truth_path: str | None = None) -> GroundTruth:
-    """Write the simulated FASTA (and optionally the truth file); fully
+def simulate(cfg: SimConfig, reads_path: str, truth_path: str | None = None) -> set:
+    """Write the simulated FASTA (and optionally the truth file) and return
+    the truth: the set of same-spot read-id pairs (a, b) with a < b. Fully
     deterministic under cfg.rng_seed, spot by spot."""
     cfg.validate()
     rng = np.random.default_rng([cfg.rng_seed, 0])
@@ -127,71 +116,62 @@ def simulate(cfg: SimConfig, reads_path: str, truth_path: str | None = None) -> 
     jitter = np.sort(rng.integers(0, slack + 1, size=cfg.n_spots))
     spot_starts = [int(jitter[s]) + s * span for s in range(cfg.n_spots)]
 
-    truth = GroundTruth()
+    truth = set()
     with open(reads_path, "w") as fa:
         for s, start in enumerate(spot_starts):
             template = genome[start : start + cfg.read_length]
             spot_rng = np.random.default_rng([cfg.rng_seed, 1, s])
-            ids = []
             for j in range(cfg.reads_per_spot):
-                rid = s * cfg.reads_per_spot + j
-                ids.append(rid)
                 source = template if spot_rng.random() < 0.5 else _revcomp_str(template)
                 seq = apply_errors(source, cfg.error_rate, spot_rng)
                 fa.write(f">sim_{s}_{j} spot={s} start={start}\n{seq}\n")
-            truth.pairs.update(combinations(ids, 2))
+            first = s * cfg.reads_per_spot
+            truth.update(combinations(range(first, first + cfg.reads_per_spot), 2))
     if truth_path is not None:
         write_truth(truth, truth_path)
     return truth
 
 
-def write_truth(truth: GroundTruth, path: str) -> None:
+def write_truth(truth: set, path: str) -> None:
     with open(path, "w") as fh:
-        for a, b in sorted(truth.pairs):
+        for a, b in sorted(truth):
             fh.write(f"{a}\t{b}\n")
 
 
-def load_truth(path: str) -> GroundTruth:
-    pairs = set()
+def load_truth(path: str) -> set:
+    """The truth file's pairs, each oriented (a, b) with a < b."""
     with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                a, b = line.split("\t")
-                pairs.add((int(a), int(b)))
-    return GroundTruth(normalize_pairs(pairs))
+        return normalize_pairs(map(int, line.split("\t")) for line in map(str.strip, fh) if line)
 
 
 def pairs_from_linker_output(path: str) -> set:
     """Adapter: linker text output -> deduplicated unordered id pairs
-    (scores and window starts dropped)."""
-    pairs = set()
+    (scores, window starts and self links dropped)."""
+    links = []
     with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            qid_text, _, rest = line.partition(":")
-            qid = int(qid_text)
-            for item in rest.split():
-                tid = int(item.split("-", 1)[0])
-                if tid != qid:
-                    pairs.add((qid, tid) if qid < tid else (tid, qid))
-    return pairs
+        for line in map(str.strip, fh):
+            if line:
+                qid_text, _, rest = line.partition(":")
+                qid = int(qid_text)
+                links.extend((qid, int(item.split("-", 1)[0])) for item in rest.split())
+    return normalize_pairs((q, t) for q, t in links if q != t)
 
 
-def score(predicted: Iterable[tuple[int, int]], truth: GroundTruth) -> tuple[float, float, float]:
-    """(recall, precision, F-measure) of predicted couples against truth.
+def score(
+    predicted: Iterable[tuple[int, int]], truth: Iterable[tuple[int, int]]
+) -> tuple[float, float, float]:
+    """(recall, precision, F-measure) of predicted couples against truth,
+    both oriented by ``normalize_pairs``.
 
     An empty prediction set scores precision 1.0 (vacuous) and recall 0.0;
     an empty truth set is a configuration error.
     """
-    truth_pairs = truth.pairs if isinstance(truth, GroundTruth) else set(truth)
-    if not truth_pairs:
+    truth = normalize_pairs(truth)
+    if not truth:
         raise ValueError("ground truth is empty; nothing to score against")
     pred = normalize_pairs(predicted)
-    correct = len(pred & truth_pairs)
-    recall = correct / len(truth_pairs)
+    correct = len(pred & truth)
+    recall = correct / len(truth)
     precision = correct / len(pred) if pred else 1.0
     f_measure = 0.0 if recall + precision == 0 else 2 * precision * recall / (precision + recall)
     return recall, precision, f_measure

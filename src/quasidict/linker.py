@@ -74,6 +74,12 @@ def build_linker_index(
     table = solid_table(codes, k, t)
     n_slots, n_targets = len(table), len(sizes)
 
+    # A read's postings depend only on its k-mer multiset, and the search
+    # below runs much faster over needles that come in sorted runs.
+    ends = np.cumsum(sizes)
+    for lo, hi in zip((ends - sizes).tolist(), ends.tolist()):
+        codes[lo:hi].sort()
+
     # Non-solid k-mers of bank reads are dropped against the exact solid table;
     # routing them through the probabilistic query instead would plant
     # false-positive read ids in the postings. The bank's codes go before the
@@ -84,7 +90,7 @@ def build_linker_index(
     slots = np.empty(n_slots, dtype=np.int64)
     qd = QuasiDictionary.create(table.codes, f=f, gamma=gamma, k=k, seed=seed, slots=slots)
     slot = slots[loc[at]]
-    read = np.searchsorted(np.cumsum(sizes), at, side="right")
+    read = np.searchsorted(ends, at, side="right")
 
     # one incidence per (slot, read); sorted pairs group by slot, then read id
     pairs = distinct(slot * n_targets + read)[0]

@@ -23,6 +23,10 @@ from .bits import DEFAULT_SEED, U64, check_room, derive_seed, key_array, locate,
 NOT_FOUND = -1
 MAX_LEVELS = 64
 
+# beyond this expansion factor the perfect hash alone costs more bits per key
+# than the 64-bit keys it stands for
+MAX_GAMMA = 64
+
 # below this many survivors a cascade level costs more serialized bytes than
 # exact (key, index) fallback pairs, so stop cascading early
 FALLBACK_CUTOFF = 4
@@ -70,8 +74,10 @@ class Mphf:
         ``slots`` (int64, one per key) receives each key's dense index as the
         cascade freezes it; the structure is the same with or without it.
         """
-        if gamma < 1.0:
-            raise ValueError(f"gamma must be >= 1.0, got {gamma}")
+        if not 1.0 <= gamma <= MAX_GAMMA:  # also false for nan
+            raise ValueError(f"gamma must be in [1.0, {MAX_GAMMA}], got {gamma}")
+        if not 0 <= seed < 1 << 64:
+            raise ValueError(f"seed must be in [0, 2**64), got {seed}")
         keys = np.ascontiguousarray(keys, dtype=np.uint64)
         if keys.ndim != 1:
             raise ValueError("keys must be one-dimensional")

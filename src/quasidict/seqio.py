@@ -13,6 +13,7 @@ is no nucleotide only drops the k-mer windows that touch it.
 from __future__ import annotations
 
 import gzip
+import os
 import re
 import zlib
 from dataclasses import dataclass
@@ -111,11 +112,10 @@ def _read_fastq(path: str, fh) -> Iterator[ReadRecord]:
 
 
 def open_file_of_files(path: str) -> list[str]:
-    """Paths listed one per line; blank lines ignored, order preserved."""
-    out = []
-    with open(path, "r") as fh:
-        for line in fh:
-            entry = line.strip()
-            if entry:
-                out.append(entry)
-    return out
+    """Paths listed one per line; blank lines ignored, order preserved.
+
+    Entries are filesystem bytes, so any name the filesystem holds can be
+    listed, whatever the locale's encoding.
+    """
+    with open(path, "rb") as fh:
+        return [os.fsdecode(entry) for entry in map(bytes.strip, fh) if entry]

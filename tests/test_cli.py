@@ -242,6 +242,44 @@ def test_negative_seed_exits_2(small_data):
     assert err.value.code == 2
 
 
+@pytest.mark.parametrize("gamma", ["inf", "nan", "1e300", "1e9", "65"])
+def test_gamma_out_of_range_exits_2(small_data, gamma):
+    with pytest.raises(SystemExit) as err:
+        main(["counter", "-b", small_data["bank"], "-q", small_data["fof"], "-o", "/dev/null",
+              "--gamma", gamma])
+    assert err.value.code == 2
+
+
+@pytest.mark.parametrize("command", ["counter", "linker", "stats", "sim"])
+def test_seed_past_u64_exits_2(small_data, command):
+    argv = {
+        "counter": ["-b", small_data["bank"], "-q", small_data["fof"], "-o", "/dev/null"],
+        "linker": ["-b", small_data["bank"], "-q", small_data["fof"], "-o", "/dev/null"],
+        "stats": ["--random-keys", "100", "--probes", "100", "-k", "11"],
+        "sim": ["--genome-len", "20000", "--spots", "4", "--read-len", "30",
+                "-o", str(small_data["dir"] / "sim.fa"), "--truth", str(small_data["dir"] / "sim.tsv")],
+    }[command]
+    with pytest.raises(SystemExit) as err:
+        main([command, *argv, "--seed", str(2**64)])
+    assert err.value.code == 2
+
+
+def test_file_of_files_lists_any_filename_byte(small_data):
+    # 0xe9 is no UTF-8, but a filesystem name may hold it
+    query = os.path.join(os.fsencode(small_data["dir"]), b"q\xe9.fa")
+    with open(query, "wb") as fh:
+        fh.write((small_data["dir"] / "q.fa").read_bytes())
+    fof = small_data["dir"] / "fof_bytes.txt"
+    fof.write_bytes(query + b"\n")
+    outs = []
+    for listing in (small_data["fof"], str(fof)):
+        out = small_data["dir"] / f"out{len(outs)}.txt"
+        rc = main(["counter", "-b", small_data["bank"], "-q", listing, "-o", str(out), "-k", "11", "-t", "1"])
+        assert rc == 0
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
+
+
 def _declared_scripts():
     tomllib = pytest.importorskip("tomllib")
     with open(ROOT / "pyproject.toml", "rb") as fh:

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from quasidict.evaluation import (
-    GroundTruth,
     SimConfig,
     apply_errors,
     load_truth,
@@ -41,7 +40,7 @@ def test_truth_size_is_all_intra_spot_pairs(tmp_path):
     cfg = small_cfg(n_spots=5, reads_per_spot=4)
     truth = simulate(cfg, str(tmp_path / "r.fa"))
     assert len(truth) == 5 * (4 * 3 // 2)
-    for a, b in truth.pairs:
+    for a, b in truth:
         assert a < b
         assert a // 4 == b // 4  # same spot
 
@@ -159,34 +158,61 @@ def test_apply_errors_is_pinned(kinds, expected):
     assert apply_errors(template, 0.2, np.random.default_rng(11), kinds=kinds) == expected
 
 
+def apply_errors_loop(seq, rate, rng, kinds):
+    """Reference: the same four draws, applied one error at a time."""
+    if rate <= 0.0:
+        return seq
+    err = np.nonzero(rng.random(len(seq)) < rate)[0]
+    kind = rng.integers(0, len(kinds), size=len(err))
+    sub_off = rng.integers(1, 4, size=len(err))
+    ins_base = rng.integers(0, 4, size=len(err))
+    out, prev = [], 0
+    for where, which, off, ins in zip(err, kind, sub_off, ins_base):
+        out.append(seq[prev:where])
+        if kinds[which] == "sub":
+            out.append("ACGT"[("ACGT".index(seq[where]) + off) % 4])
+        elif kinds[which] == "ins":
+            out.append("ACGT"[ins] + seq[where])
+        prev = where + 1
+    return "".join(out) + seq[prev:]
+
+
+@pytest.mark.parametrize("rate", [0.0, 0.01, 0.12, 0.15, 0.49])
+@pytest.mark.parametrize("kinds", [("sub", "ins", "del"), ("ins", "del"), ("del", "sub"), ("ins", "ins", "sub")])
+def test_apply_errors_matches_loop(rate, kinds):
+    seq = "".join(np.random.default_rng(6).choice(list("ACGT"), size=5000))
+    expected = apply_errors_loop(seq, rate, np.random.default_rng(12), kinds)
+    assert apply_errors(seq, rate, np.random.default_rng(12), kinds) == expected
+
+
 # ---------------------------------------------------------------- score
 
 
 def test_perfect_prediction():
-    truth = GroundTruth({(0, 1), (2, 3)})
+    truth = {(0, 1), (2, 3)}
     assert score({(0, 1), (2, 3)}, truth) == (1.0, 1.0, 1.0)
 
 
 def test_half_recall_formula():
-    truth = GroundTruth({(0, 1), (2, 3)})
+    truth = {(0, 1), (2, 3)}
     recall, precision, f = score({(0, 1)}, truth)
     assert (recall, precision) == (0.5, 1.0)
     assert f == pytest.approx(2 / 3)
 
 
 def test_orientation_normalized():
-    truth = GroundTruth({(0, 1)})
+    truth = {(0, 1)}
     assert score({(1, 0)}, truth) == (1.0, 1.0, 1.0)
 
 
 def test_empty_prediction_degenerate():
-    recall, precision, f = score(set(), GroundTruth({(0, 1)}))
+    recall, precision, f = score(set(), {(0, 1)})
     assert (recall, precision, f) == (0.0, 1.0, 0.0)
 
 
 def test_empty_truth_rejected():
     with pytest.raises(ValueError):
-        score({(0, 1)}, GroundTruth(set()))
+        score({(0, 1)}, set())
 
 
 def test_self_pair_rejected():
@@ -201,16 +227,16 @@ def test_f_measure_is_harmonic_mean():
         truth = {(2 * i, 2 * i + 1) for i in range(n_truth)}
         pred = {p for p in truth if rng.random() < 0.7}
         pred |= {(1000 + i, 2000 + i) for i in range(int(rng.integers(0, 20)))}
-        recall, precision, f = score(pred, GroundTruth(truth))
+        recall, precision, f = score(pred, truth)
         if precision + recall:
             assert abs(f - 2 * precision * recall / (precision + recall)) < 1e-9
 
 
 def test_truth_file_roundtrip(tmp_path):
-    truth = GroundTruth({(4, 9), (0, 2), (1, 7)})
+    truth = {(4, 9), (0, 2), (1, 7)}
     path = str(tmp_path / "t.tsv")
     write_truth(truth, path)
-    assert load_truth(path).pairs == truth.pairs
+    assert load_truth(path) == truth
     # file is sorted a < b per line
     lines = (tmp_path / "t.tsv").read_text().splitlines()
     assert lines == ["0\t2", "1\t7", "4\t9"]

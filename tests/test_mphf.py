@@ -59,6 +59,16 @@ def test_gamma_below_one_rejected():
         Mphf.construct(np.array([1, 2], dtype=np.uint64), gamma=0.5)
 
 
+@pytest.mark.parametrize(
+    "option, value",
+    [("gamma", float("inf")), ("gamma", float("nan")), ("gamma", 1e300), ("gamma", 1e9), ("gamma", 65.0),
+     ("seed", 2**64), ("seed", -1)],
+)
+def test_gamma_and_seed_outside_their_domain_rejected(option, value):
+    with pytest.raises(ValueError, match=option):
+        Mphf.construct(np.array([1, 2], dtype=np.uint64), **{option: value})
+
+
 def test_non_keys_in_range_or_not_found():
     keys = random_keys(100_000, seed=2)
     m = Mphf.construct(keys)
