@@ -4,6 +4,9 @@ The structure gives every indexed key a stable dense index in [0, N-1]
 and rejects almost every foreign key, in a few bits per key.
 """
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 
 from quasidict import QuasiDictionary
@@ -46,7 +49,8 @@ print(f"foreign keys accepted: {(answers >= 0).sum()} of {len(fresh)} "
       f"(expected about {len(fresh) / 4096:.0f})")
 
 # the whole index round-trips through one flat file
-qd.save("/tmp/demo.qdic")
-back = QuasiDictionary.load("/tmp/demo.qdic")
+with tempfile.TemporaryDirectory() as work:
+    qd.save(str(Path(work) / "demo.qdic"))
+    back = QuasiDictionary.load(str(Path(work) / "demo.qdic"))
 assert back.query(probe) == qd.query(probe)
 print("serialized, reloaded, same answers")

@@ -20,20 +20,18 @@ def random_read(n):
     return "".join(BASES[rng.integers(0, 4, size=n)])
 
 
-work = Path(tempfile.mkdtemp())
-
 # a bank where template copy numbers are known: 2x, 5x and 9x
 templates = {name: random_read(120) for name in ("dup2", "dup5", "dup9")}
 multiplicity = {"dup2": 2, "dup5": 5, "dup9": 9}
-bank_path = work / "bank.fa"
-with open(bank_path, "w") as fh:
-    i = 0
-    for name, seq in templates.items():
-        for _ in range(multiplicity[name]):
-            fh.write(f">b{i}\n{seq}\n")
-            i += 1
-
-index = build_counter_index(str(bank_path), k=31, t=2, f=12)
+with tempfile.TemporaryDirectory() as work:
+    bank_path = Path(work) / "bank.fa"
+    with open(bank_path, "w") as fh:
+        i = 0
+        for name, seq in templates.items():
+            for _ in range(multiplicity[name]):
+                fh.write(f">b{i}\n{seq}\n")
+                i += 1
+    index = build_counter_index(str(bank_path), k=31, t=2, f=12)
 print(f"solid 31-mers indexed: {index.qd.n_keys}")
 
 print(f"\n{'query':>8} {'kmers':>6} {'mean':>6} {'median':>7} {'min':>4} {'max':>4}")

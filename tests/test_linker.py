@@ -130,26 +130,58 @@ def test_build_scans_the_bank_once(tmp_path, monkeypatch):
     seqs = reads_from_genome(rng, random_genome(rng, 200), 7, 40)
     bank = write_fasta(tmp_path / "b.fa", seqs)
     calls = Counter()
+    scanned = []
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
             calls[name] += 1
+            if name == "scan_kmers":
+                scanned.append(len(args[0]))
             return fn(*args, **kwargs)
 
         return wrapper
 
     # every module binding is wrapped, so no import path escapes the count
-    for name, modules in (("open_reads", (seqio, linker)), ("scan_kmers", (kmer, kcount, linker))):
+    for name, modules in (("open_reads", (seqio, linker)), ("scan_kmers", (kmer, kcount))):
         wrapped = counted(name, getattr(modules[0], name))
         for mod in modules:
             monkeypatch.setattr(mod, name, wrapped)
     monkeypatch.setattr(QuasiDictionary, "query_array", counted("query_array", QuasiDictionary.query_array))
+    monkeypatch.setattr(kcount, "BATCH_BASES", 100)  # several batches, several joins
     index = build_linker_index(bank, k=9, t=1, f=12)
     assert index.n_targets == len(seqs)
     assert calls["open_reads"] == 1
-    assert calls["scan_kmers"] == len(seqs)
+    # every bank base is scanned once, plus one separator per join within a batch
+    assert len(scanned) > 1
+    assert sum(scanned) == sum(map(len, seqs)) + len(seqs) - len(scanned)
     # construction hands out the slots, so the build queries nothing
     assert calls["query_array"] == 0
+
+
+def test_batch_key_stays_below_the_limit(tmp_path, monkeypatch):
+    # the key (read · n_targets + target) · span + position is int64; a lowered
+    # limit makes the query batches close early, and the output stays the same
+    rng = np.random.default_rng(8)
+    seqs = reads_from_genome(rng, random_genome(rng, 400), 30, 50)
+    bank = write_fasta(tmp_path / "b.fa", seqs)
+    want = io.StringIO()
+    run_linker(bank, [bank], want, k=9, t=1, window=20)
+    limit = 30 * 51 * 3  # three reads per batch
+    monkeypatch.setattr(linker, "KEY_LIMIT", limit)
+    shapes = []
+
+    def recording(reads, k, max_cells=2**63):
+        for batch in kcount.scan_batches(reads, k, max_cells):
+            if max_cells < 2**63:  # the query side; the bank build keys nothing
+                shapes.append(len(batch[0]) * (max(len(read.seq) for read in batch[0]) + 1))
+            yield batch
+
+    monkeypatch.setattr(linker, "scan_batches", recording)
+    got = io.StringIO()
+    run_linker(bank, [bank], got, k=9, t=1, window=20)
+    assert got.getvalue() == want.getvalue()
+    assert shapes == [3 * 51] * 10
+    assert all(30 * cells <= limit for cells in shapes)
 
 
 def test_bank_read_ids_must_fit_int32(tmp_path, monkeypatch, capsys):
