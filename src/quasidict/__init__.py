@@ -13,11 +13,11 @@ coverage (linker), plus a read simulator and recall/precision scoring.
 from .bitrank import RankBitVector
 from .bits import DEFAULT_SEED
 from .core import NOT_FOUND, QuasiDictionary, fingerprint
-from .counter import CountStats, CounterIndex, build_counter_index, count_read, count_reads
+from .counter import CountStats, CounterIndex, build_counter_index, count_read
 from .evaluation import SimConfig, score, simulate
 from .kcount import SolidKmerTable, count_solid
 from .kmer import NonNucleotideError, canonical, decode, encode, iter_kmers, revcomp
-from .linker import LinkerIndex, MatchResult, build_linker_index, link_read, link_reads
+from .linker import LinkerIndex, MatchResult, build_linker_index, link_read
 from .mphf import DuplicateKeyError, Mphf
 from .seqio import ParseError, ReadRecord, open_file_of_files, open_reads
 
@@ -47,12 +47,10 @@ __all__ = [
     "CountStats",
     "build_counter_index",
     "count_read",
-    "count_reads",
     "LinkerIndex",
     "MatchResult",
     "build_linker_index",
     "link_read",
-    "link_reads",
     "SimConfig",
     "simulate",
     "score",

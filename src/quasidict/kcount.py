@@ -75,16 +75,12 @@ class SolidKmerTable:
 
 
 def scan_batches(reads: Iterable[ReadRecord], k: int, max_cells: int = 2**63) -> Iterator[tuple]:
-    """Reads in batches, each scanned in one call: n reads, the longest of
-    length L, with n·(L + 1) at most BATCH_BASES and ``max_cells`` (a longer
-    read is a batch alone), joined with one N so no valid window spans two.
-
-    Yields ``(batch, positions, codes, sizes)``: the reads, each k-mer's start
-    within its read, the canonical codes in read order, the k-mers per read.
+    """Reads in batches of n, the longest of length L, with n·(L + 1) at most BATCH_BASES and
+    ``max_cells`` (a longer read is a batch alone), joined with one N so no valid window spans
+    two reads and scanned in one call. Yields ``(batch, positions, codes, sizes)``: the reads,
+    each k-mer's start within its read, the canonical codes in read order, the k-mers per read.
     """
-    cells = min(BATCH_BASES, max_cells)
-    batch: list[ReadRecord] = []
-    longest = 0
+    cells, batch, longest = min(BATCH_BASES, max_cells), [], 0
     for read in reads:
         longest = max(longest, len(read.seq))
         if batch and (len(batch) + 1) * (longest + 1) > cells:
@@ -96,12 +92,18 @@ def scan_batches(reads: Iterable[ReadRecord], k: int, max_cells: int = 2**63) ->
 
 
 def _scan_batch(batch: list[ReadRecord], k: int) -> tuple:
-    lengths = np.array([len(read.seq) for read in batch], dtype=np.int64)
-    starts = np.cumsum(lengths + 1) - lengths - 1
+    starts = np.cumsum([0] + [len(read.seq) + 1 for read in batch[:-1]])
     positions, codes = scan_kmers("N".join(read.seq for read in batch), k)
     sizes = np.diff(np.searchsorted(positions, starts), append=len(positions))
     positions -= np.repeat(starts, sizes)
     return batch, positions, codes, sizes
+
+
+def scan_reads(reads: Iterable[ReadRecord], k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every read's canonical codes concatenated in read order, and k-mers per read."""
+    parts = [(np.empty(0, U64), np.empty(0, np.int64))]
+    parts += [(codes, sizes) for _, _, codes, sizes in scan_batches(reads, k)]
+    return tuple(np.concatenate(part) for part in zip(*parts))
 
 
 def solid_table(codes: np.ndarray, k: int, t: int) -> SolidKmerTable:
@@ -114,5 +116,4 @@ def solid_table(codes: np.ndarray, k: int, t: int) -> SolidKmerTable:
 
 def count_solid(reads: Iterable[ReadRecord], k: int, t: int) -> SolidKmerTable:
     """Count canonical k-mers over a read stream and keep those seen >= t times."""
-    chunks = (codes for _, _, codes, _ in scan_batches(reads, k))
-    return solid_table(np.concatenate([np.empty(0, U64), *chunks]), k, t)
+    return solid_table(scan_reads(reads, k)[0], k, t)

@@ -21,7 +21,7 @@ import numpy as np
 
 from .bits import DEFAULT_SEED, distinct, locate
 from .core import QuasiDictionary
-from .kcount import scan_batches, solid_table
+from .kcount import scan_batches, scan_reads, solid_table
 from .kmer import scan_kmers  # noqa: F401 (bench/tests checks that the tracer wraps this binding)
 from .seqio import ReadRecord, open_reads
 
@@ -30,9 +30,9 @@ DEFAULT_LINK_THRESHOLD = 10
 # bank read ids are stored as int32
 MAX_BANK_READS = 2**31 - 1
 
-# a query batch sorts its incidences by the int64 key (read · n_targets +
-# target) · span + position; a batch of n reads keeps n · n_targets · span at
-# or below this, and a lone read does while it is shorter than 2^32 bases
+# bound on the int64 query key (read · n_targets + target) · span + position:
+# a batch of n reads keeps n · n_targets · span at or below it, and a lone read
+# does while it is shorter than 2^32 bases
 KEY_LIMIT = 2**63
 
 
@@ -73,10 +73,7 @@ def build_linker_index(
     seed: int = DEFAULT_SEED,
 ) -> LinkerIndex:
     """Index the bank: slot -> ids of bank reads containing that solid k-mer."""
-    batches = [(codes, sizes) for _, _, codes, sizes in scan_batches(open_reads(bank_path), k)]
-    codes = np.concatenate([np.empty(0, np.uint64), *(c for c, _ in batches)])
-    sizes = np.concatenate([np.empty(0, np.int64), *(n for _, n in batches)])
-    del batches
+    codes, sizes = scan_reads(open_reads(bank_path), k)
     if len(sizes) > MAX_BANK_READS:
         raise ValueError(f"bank holds {len(sizes)} reads; read ids are int32, so at most {MAX_BANK_READS}")
     table = solid_table(codes, k, t)
@@ -129,11 +126,7 @@ def link_read(
 
 
 def link_reads(
-    index: LinkerIndex,
-    reads: Iterable[ReadRecord],
-    threshold: int = DEFAULT_LINK_THRESHOLD,
-    window: Optional[int] = None,
-    exclude_self: bool = False,
+    index: LinkerIndex, reads: Iterable[ReadRecord], threshold: int, window: Optional[int], exclude_self: bool
 ) -> Iterator[tuple[ReadRecord, list[MatchResult]]]:
     """``(read, link_read(index, read, ...))`` for each read in order, one query per batch of reads."""
     if window is not None and window < index.k:
@@ -151,8 +144,7 @@ def link_reads(
             other = tgt != np.array([read.id for read in batch])[row]
             tgt, pos, row = tgt[other], pos[other], row[other]
 
-        # incidences sorted once by (read, target, position): one run of keys
-        # per (read, target) pair, all below KEY_LIMIT by the batch's shape
+        # incidences sorted once by (read, target, position): one run per pair
         span = max(len(read.seq) for read in batch) + 1
         key = np.sort((row * index.n_targets + tgt) * span + pos)
         pair = key // span

@@ -142,7 +142,7 @@ def test_build_scans_the_bank_once(tmp_path, monkeypatch):
         return wrapper
 
     # every module binding is wrapped, so no import path escapes the count
-    for name, modules in (("open_reads", (seqio, linker)), ("scan_kmers", (kmer, kcount))):
+    for name, modules in (("open_reads", (seqio, linker)), ("scan_kmers", (kmer, kcount, linker))):
         wrapped = counted(name, getattr(modules[0], name))
         for mod in modules:
             monkeypatch.setattr(mod, name, wrapped)
