@@ -30,12 +30,16 @@ def key_array(key: int) -> np.ndarray:
 
 
 def mix64(x: np.ndarray) -> np.ndarray:
-    """Xor-shift-multiply avalanche over a uint64 array (splitmix64 finalizer)."""
+    """Xor-shift-multiply avalanche over a uint64 array (splitmix64 finalizer).
+
+    Returns a new array and never writes into ``x``: the first step makes the
+    copy, and every later step works on that copy in place.
+    """
     x = x ^ (x >> U64(30))
-    x = x * U64(MIX_MULT_1)
-    x = x ^ (x >> U64(27))
-    x = x * U64(MIX_MULT_2)
-    x = x ^ (x >> U64(31))
+    x *= U64(MIX_MULT_1)
+    x ^= x >> U64(27)
+    x *= U64(MIX_MULT_2)
+    x ^= x >> U64(31)
     return x
 
 

@@ -2,7 +2,12 @@
 
 Indexing scans the bank once and stores, per solid k-mer, the sorted
 duplicate-free list of bank read ids containing it (posting lists, one
-flat array plus offsets, cut from the distinct (slot, read) pairs). For a
+flat array plus offsets, cut from the distinct (slot, read) pairs). A
+bank k-mer enters a posting list only when the exact sorted solid table
+holds it (``locate``); a one-byte presence table over hashed buckets of
+the solid codes screens out most of the others before that search. A
+solid code always passes the screen, so the postings stay exact: the
+screen only skips work, ``locate`` decides membership. For a
 query read, every position covered by at least one k-mer shared with a
 given target contributes 1 to that target's score; optionally the score
 is the best window of a fixed width w instead of the whole read. Targets
@@ -19,7 +24,7 @@ from typing import Iterable, Iterator, Optional, TextIO
 
 import numpy as np
 
-from .bits import DEFAULT_SEED, distinct, locate
+from .bits import DEFAULT_SEED, U64, distinct, locate
 from .core import QuasiDictionary
 from .kcount import scan_batches, scan_reads, solid_table
 from .kmer import scan_kmers  # noqa: F401 (bench/tests checks that the tracer wraps this binding)
@@ -34,6 +39,13 @@ MAX_BANK_READS = 2**31 - 1
 # a batch of n reads keeps n · n_targets · span at or below it, and a lone read
 # does while it is shorter than 2^32 bases
 KEY_LIMIT = 2**63
+
+# the bank screen has the next power of two at or above this many one-byte
+# buckets per solid code, so it is at most twice the size of the solid codes
+SCREEN_BYTES_PER_CODE = 8
+
+# odd multiplier of the screen's multiply-shift hash: 2^64 over the golden ratio
+SCREEN_MULT = 0x9E3779B97F4A7C15
 
 
 @dataclass
@@ -64,6 +76,13 @@ class LinkerIndex:
         return len(self.ids) / self.qd.n_keys
 
 
+def _bucket(codes: np.ndarray, bits: int) -> np.ndarray:
+    """Multiply-shift hash of each code to one of 2**bits buckets (1 <= bits <= 63)."""
+    h = codes * U64(SCREEN_MULT)
+    h >>= U64(64 - bits)
+    return h.view(np.int64)
+
+
 def build_linker_index(
     bank_path: str,
     k: int = 31,
@@ -87,14 +106,22 @@ def build_linker_index(
 
     # Non-solid k-mers of bank reads are dropped against the exact solid table;
     # routing them through the probabilistic query instead would plant
-    # false-positive read ids in the postings. The bank's codes go before the
-    # dictionary is built, so the two never hold memory at the same time.
-    loc = locate(table.codes, codes)
-    at = np.flatnonzero(loc >= 0)
-    del codes
+    # false-positive read ids in the postings. A presence byte per bucket of
+    # the solid codes screens most of them out first: a solid code always
+    # passes, and locate still decides membership, so the screen only skips
+    # work. The bank's codes go before the dictionary is built, so the two
+    # never hold memory at the same time.
+    bits = max((SCREEN_BYTES_PER_CODE * n_slots - 1).bit_length(), 1)
+    present = np.zeros(1 << bits, dtype=bool)
+    present[_bucket(table.codes, bits)] = True
+    at = np.flatnonzero(present[_bucket(codes, bits)])
+    loc = locate(table.codes, codes[at])
+    del codes, present
+    solid = loc >= 0
+    at, loc = at[solid], loc[solid]
     slots = np.empty(n_slots, dtype=np.int64)
     qd = QuasiDictionary.create(table.codes, f=f, gamma=gamma, k=k, seed=seed, slots=slots)
-    slot = slots[loc[at]]
+    slot = slots[loc]
     read = np.searchsorted(ends, at, side="right")
 
     # one incidence per (slot, read); sorted pairs group by slot, then read id

@@ -50,7 +50,9 @@ def _level_size(gamma: float, n: int) -> int:
 
 def _level_pos(keys: np.ndarray, level_seed: int, n_bits: int) -> np.ndarray:
     """Each key's position in a level of ``n_bits`` slots hashed with ``level_seed``."""
-    return (mix64(keys ^ U64(level_seed)) % U64(n_bits)).astype(np.int64)
+    pos = mix64(keys ^ U64(level_seed))
+    pos %= U64(n_bits)
+    return pos.view(np.int64)
 
 
 class Mphf:
@@ -99,10 +101,11 @@ class Mphf:
             alone = np.bincount(pos, minlength=size) == 1
             bv = RankBitVector.build(alone)
             frozen = alone[pos]
+            done, left = np.flatnonzero(frozen), np.flatnonzero(~frozen)
             # slot: the keys frozen at earlier levels plus the rank in this level
-            slots[index[frozen]] = n - remaining.size + bv.rank1_array(pos[frozen])
+            slots[index[done]] = n - remaining.size + bv.rank1_array(pos[done])
             levels.append(bv)
-            remaining, index = remaining[~frozen], index[~frozen]
+            remaining, index = remaining[left], index[left]
 
         order = np.argsort(remaining)
         slots[index[order]] = np.arange(n - remaining.size, n)  # fallback keys last, in key order
@@ -123,11 +126,9 @@ class Mphf:
                 return out
             pos = _level_pos(cur, level_seed, bv.n_bits)
             hit = bv.get_array(pos)
-            if hit.any():
-                out[alive[hit]] = off + bv.rank1_array(pos[hit])
-                miss = ~hit
-                alive = alive[miss]
-                cur = cur[miss]
+            found, miss = np.flatnonzero(hit), np.flatnonzero(~hit)
+            out[alive[found]] = off + bv.rank1_array(pos[found])
+            alive, cur = alive[miss], cur[miss]
         loc = locate(self.fallback_keys, cur)
         match = loc >= 0
         out[alive[match]] = self.fallback_base + loc[match]

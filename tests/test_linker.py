@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from quasidict import kcount, kmer, linker, seqio
+from quasidict.bits import locate
 from quasidict.cli import main
 from quasidict.core import QuasiDictionary
 from quasidict.kmer import canonical, encode
@@ -182,6 +183,47 @@ def test_batch_key_stays_below_the_limit(tmp_path, monkeypatch):
     assert got.getvalue() == want.getvalue()
     assert shapes == [3 * 51] * 10
     assert all(30 * cells <= limit for cells in shapes)
+
+
+def test_screen_never_decides_membership(tmp_path, monkeypatch):
+    # reads drawn twice from a genome carry solid k-mers; one-off random reads
+    # carry k-mers seen once, which the screen mostly drops before locate
+    rng = np.random.default_rng(9)
+    seqs = reads_from_genome(rng, random_genome(rng, 2000), 80, 60)
+    seqs += [random_genome(rng, 60) for _ in range(40)]
+    bank = write_fasta(tmp_path / "b.fa", seqs)
+    n_kmers = sum(len(s) - 9 + 1 for s in seqs)
+    located = []
+
+    def recording(table, x):
+        located.append(len(x))
+        return locate(table, x)
+
+    monkeypatch.setattr(linker, "locate", recording)
+    want = build_linker_index(bank, k=9, t=2, f=12)
+    assert 0 < located[-1] < n_kmers  # the screen skips work
+    # a screen of two buckets lets every bank k-mer through to locate
+    monkeypatch.setattr(linker, "SCREEN_BYTES_PER_CODE", 0)
+    got = build_linker_index(bank, k=9, t=2, f=12)
+    assert located[-1] == n_kmers
+    assert got.offsets.tobytes() == want.offsets.tobytes()
+    assert got.ids.tobytes() == want.ids.tobytes()
+    assert got.qd.serialize() == want.qd.serialize()
+
+
+@pytest.mark.parametrize(
+    "seqs, t",
+    [(["ACGTACG", "TTGCA", "GGATC"], 1), (["ACGTTGCAAC", "GGATCCATGA", "TTGACCAGTA"], 2)],
+    ids=["reads-shorter-than-k", "t-above-every-count"],
+)
+@pytest.mark.parametrize("window", [None, 8])
+def test_bank_without_solid_kmers_links_nothing(tmp_path, seqs, t, window):
+    bank = write_fasta(tmp_path / "b.fa", seqs)
+    index = build_linker_index(bank, k=8, t=t, f=12)
+    assert index.qd.n_keys == 0 and index.offsets.tolist() == [0] and len(index.ids) == 0
+    out = io.StringIO()
+    run_linker(bank, [bank], out, k=8, t=t, threshold=1, window=window)
+    assert out.getvalue() == "".join(f"{i}:\n" for i in range(len(seqs)))
 
 
 def test_bank_read_ids_must_fit_int32(tmp_path, monkeypatch, capsys):

@@ -26,6 +26,7 @@ from quasidict.bits import (
     derive_seed,
     distinct,
     locate,
+    mix64,
     words_to_bool,
 )
 from quasidict.core import (
@@ -148,6 +149,29 @@ def test_scalar_wrappers_equal_array_path_and_reference(keys, probes, f, k):
     if f != 2 * k:
         fp_seed = mix64_reference(qd.seed ^ _FINGERPRINT_TAG)
         assert fps == [mix64_reference(x ^ fp_seed) & _fp_mask(f) for x in batch]
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.lists(u64, unique=True, max_size=200), st.lists(u64, max_size=40), st.sampled_from([12, 62]))
+@example(keys=list(range(0, 400, 2)), probes=list(range(1, 41)), f=12)  # several levels, a foreign batch
+def test_no_call_writes_into_its_key_array(keys, probes, f):
+    # the hashing works in place on its own copies; a uint64 argument is
+    # passed through without a conversion copy, so a stray write would land
+    # in it (checked after each call: two equal xors would cancel out)
+    arr = np.array(keys, dtype=np.uint64)
+    batch = np.array(keys + probes, dtype=np.uint64)
+    qd = QuasiDictionary.create(arr.copy(), f=f, k=31)
+    calls = [
+        (mix64, batch),
+        (lambda a: QuasiDictionary.create(a, f=f, k=31), arr),
+        (Mphf.construct, arr),
+        (qd.mphf.lookup_array, batch),
+        (qd.query_array, batch),
+    ]
+    for call, a in calls:
+        before = a.copy()
+        call(a)
+        assert a.tobytes() == before.tobytes(), call
 
 
 @pytest.mark.parametrize("f", range(1, 65))
