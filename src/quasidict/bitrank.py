@@ -80,10 +80,6 @@ class RankBitVector:
         below = (U64(1) << (p & 63).astype(np.uint64)) - U64(1)
         return self.samples[p >> 9] + self.in_block[w] + np.bitwise_count(self.words[w] & below)
 
-    def size_in_bits(self) -> int:
-        """Serialized footprint: packed words plus one rank sample per block."""
-        return (len(self.words) + len(self.samples) - 1) * 64
-
     def serialize(self) -> bytes:
         """Little-endian: bit count, packed words, one rank sample per block.
 

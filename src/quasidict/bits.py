@@ -54,12 +54,6 @@ def pack_bool_to_words(bits: np.ndarray) -> np.ndarray:
     return np.pad(raw, (0, -len(raw) % 8)).view("<u8")
 
 
-def words_to_bool(words: np.ndarray, n_bits: int) -> np.ndarray:
-    """Inverse of :func:`pack_bool_to_words` (used by oracles and tests)."""
-    as_bytes = np.frombuffer(np.ascontiguousarray(words).tobytes(), dtype=np.uint8)
-    return np.unpackbits(as_bytes, bitorder="little")[:n_bits].astype(bool)
-
-
 def distinct(values: np.ndarray, t: int = 1) -> tuple[np.ndarray, np.ndarray]:
     """The distinct values seen at least t times, sorted, and how often each is seen.
 

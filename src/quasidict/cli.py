@@ -276,8 +276,8 @@ def main(argv: list[str] | None = None) -> int:
     _check_ranges(parser, args)
     try:
         return _DISPATCH[args.command](args)
-    except (OSError, ValueError) as exc:
-        print(f"qd {args.command}: error: {exc}", file=sys.stderr)
+    except (OSError, ValueError, MemoryError) as exc:
+        print(f"qd {args.command}: error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
 
 

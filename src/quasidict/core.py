@@ -110,6 +110,7 @@ class QuasiDictionary:
         ``slots`` receives each key's dense slot, as :meth:`Mphf.construct` does.
         """
         _check_f(f)
+        check_k(k)
         keys = np.ascontiguousarray(keys, dtype=np.uint64)
         slots = np.empty(len(keys), dtype=np.int64) if slots is None else slots
         mphf = Mphf.construct(keys, gamma=gamma, seed=seed, slots=slots)
@@ -190,6 +191,8 @@ class QuasiDictionary:
         mphf, offset = Mphf.deserialize(buf, _HEAD.size)
         if mphf.n_keys != n_keys:
             raise ValueError(f"perfect hash holds {mphf.n_keys} keys, header says {n_keys}")
+        if mphf.seed != seed:
+            raise ValueError(f"perfect hash seed {mphf.seed:#018x} differs from the header's {seed:#018x}")
         if offset != _HEAD.size + mphf_len:
             raise ValueError(f"perfect hash spans {offset - _HEAD.size} bytes, header says {mphf_len}")
         n_words = (n_keys * f + 63) // 64

@@ -37,11 +37,10 @@ class CountStats:
 class CounterIndex:
     """Quasi-dictionary over a bank's solid k-mers plus per-k-mer counts."""
 
-    def __init__(self, qd: QuasiDictionary, counts: np.ndarray, k: int, t: int):
+    def __init__(self, qd: QuasiDictionary, counts: np.ndarray, k: int):
         self.qd = qd
         self.counts = counts  # uint8, indexed by dense slot
         self.k = k
-        self.t = t
 
 
 def build_counter_index(
@@ -58,7 +57,7 @@ def build_counter_index(
     qd = QuasiDictionary.create(table.codes, f=f, gamma=gamma, k=k, seed=seed, slots=slots)
     counts = np.empty(len(table), dtype=np.uint8)
     counts[slots] = table.counts
-    return CounterIndex(qd, counts, k, t)
+    return CounterIndex(qd, counts, k)
 
 
 def count_read(index: CounterIndex, read: ReadRecord) -> Optional[CountStats]:

@@ -24,7 +24,10 @@ _HEAD = struct.Struct("<4sIIQ")
 
 COUNT_CAP = 255
 
-# bases and separators per scanned batch of reads; sets the read tools' memory
+# bases and separators per scanned batch of reads; sets the read tools' memory.
+# It also bounds the linker's int64 query key (read · n_targets + target) · span
+# + pos: n · (L + 1) <= 2^16 in a batch of several reads and n_targets < 2^31, so
+# the key stays below 2^47; a lone read keeps it below 2^63 up to 2^32 bases.
 BATCH_BASES = 2**16
 
 
@@ -74,16 +77,16 @@ class SolidKmerTable:
         return cls(codes, counts, k, t)
 
 
-def scan_batches(reads: Iterable[ReadRecord], k: int, max_cells: int = 2**63) -> Iterator[tuple]:
-    """Reads in batches of n, the longest of length L, with n·(L + 1) at most BATCH_BASES and
-    ``max_cells`` (a longer read is a batch alone), joined with one N so no valid window spans
-    two reads and scanned in one call. Yields ``(batch, positions, codes, sizes)``: the reads,
-    each k-mer's start within its read, the canonical codes in read order, the k-mers per read.
+def scan_batches(reads: Iterable[ReadRecord], k: int) -> Iterator[tuple]:
+    """Reads in batches of n, the longest of length L, with n·(L + 1) at most BATCH_BASES (a
+    longer read is a batch alone), joined with one N so no valid window spans two reads and
+    scanned in one call. Yields ``(batch, positions, codes, sizes)``: the reads, each k-mer's
+    start within its read, the canonical codes in read order, the k-mers per read.
     """
-    cells, batch, longest = min(BATCH_BASES, max_cells), [], 0
+    batch, longest = [], 0
     for read in reads:
         longest = max(longest, len(read.seq))
-        if batch and (len(batch) + 1) * (longest + 1) > cells:
+        if batch and (len(batch) + 1) * (longest + 1) > BATCH_BASES:
             yield _scan_batch(batch, k)
             batch, longest = [], len(read.seq)
         batch.append(read)

@@ -35,11 +35,6 @@ DEFAULT_LINK_THRESHOLD = 10
 # bank read ids are stored as int32
 MAX_BANK_READS = 2**31 - 1
 
-# bound on the int64 query key (read · n_targets + target) · span + position:
-# a batch of n reads keeps n · n_targets · span at or below it, and a lone read
-# does while it is shorter than 2^32 bases
-KEY_LIMIT = 2**63
-
 # the bank screen has the next power of two at or above this many one-byte
 # buckets per solid code, so it is at most twice the size of the solid codes
 SCREEN_BYTES_PER_CODE = 8
@@ -61,12 +56,11 @@ class MatchResult:
 class LinkerIndex:
     """Quasi-dictionary whose slots point into flat posting lists."""
 
-    def __init__(self, qd: QuasiDictionary, offsets, ids, k: int, t: int, n_targets: int):
+    def __init__(self, qd: QuasiDictionary, offsets, ids, k: int, n_targets: int):
         self.qd = qd
         self.offsets = offsets  # int64, len n_slots + 1
         self.ids = ids  # int32 target read ids, grouped per slot, each group sorted
         self.k = k
-        self.t = t
         self.n_targets = n_targets
 
     def mean_posting_length(self) -> float:
@@ -128,7 +122,7 @@ def build_linker_index(
     pairs = distinct(slot * n_targets + read)[0]
     offsets = np.zeros(n_slots + 1, dtype=np.int64)
     np.cumsum(np.bincount(pairs // n_targets, minlength=n_slots), out=offsets[1:])
-    return LinkerIndex(qd, offsets, (pairs % n_targets).astype(np.int32), k, t, n_targets)
+    return LinkerIndex(qd, offsets, (pairs % n_targets).astype(np.int32), k, n_targets)
 
 
 def link_read(
@@ -158,7 +152,7 @@ def link_reads(
     """``(read, link_read(index, read, ...))`` for each read in order, one query per batch of reads."""
     if window is not None and window < index.k:
         raise ValueError(f"window ({window}) must be >= k ({index.k})")
-    for batch, positions, codes, sizes in scan_batches(reads, index.k, KEY_LIMIT // max(index.n_targets, 1)):
+    for batch, positions, codes, sizes in scan_batches(reads, index.k):
         slots = index.qd.query_array(codes)
         hit = slots >= 0
         starts = index.offsets[slots[hit]]

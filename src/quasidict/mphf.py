@@ -5,7 +5,10 @@ Cascade-of-bitmaps construction: level l hashes its surviving keys into
 bitmap and their keys are done, colliding keys fall through to the next
 level. Keys still unresolved after 64 levels land in an exact fallback map.
 A key's dense index is the number of frozen slots before its own, which one
-rank query per level answers in constant time.
+rank query per level answers in constant time. Equal keys share their
+position at every level, so none of them is ever frozen: every copy of a
+duplicated key reaches the fallback, where construction finds it among its
+sorted neighbours.
 
 Lookups restricted to the construction keys are a bijection onto
 [0, N-1]; foreign keys return an arbitrary index or NOT_FOUND.
@@ -85,11 +88,6 @@ class Mphf:
             raise ValueError("keys must be one-dimensional")
         n = len(keys)
         slots = np.empty(n, dtype=np.int64) if slots is None else slots
-        ordered = np.sort(keys)
-        dup = np.flatnonzero(ordered[1:] == ordered[:-1])
-        if len(dup):
-            raise DuplicateKeyError(int(ordered[dup[0]]))
-        del ordered
 
         levels: list[RankBitVector] = []
         remaining, index = keys, np.arange(n)
@@ -108,8 +106,12 @@ class Mphf:
             remaining, index = remaining[left], index[left]
 
         order = np.argsort(remaining)
+        fallback = remaining[order]
+        dup = np.flatnonzero(fallback[1:] == fallback[:-1])
+        if len(dup):
+            raise DuplicateKeyError(int(fallback[dup[0]]))
         slots[index[order]] = np.arange(n - remaining.size, n)  # fallback keys last, in key order
-        return cls(levels, remaining[order], n, float(gamma), seed)
+        return cls(levels, fallback, n, float(gamma), seed)
 
     def lookup(self, key: int) -> int:
         """Dense index of ``key``, or NOT_FOUND (-1)."""
@@ -122,8 +124,6 @@ class Mphf:
         alive = np.arange(len(keys), dtype=np.int64)
         cur = keys
         for bv, level_seed, off in zip(self.levels, self.seeds, self.offsets):
-            if alive.size == 0:
-                return out
             pos = _level_pos(cur, level_seed, bv.n_bits)
             hit = bv.get_array(pos)
             found, miss = np.flatnonzero(hit), np.flatnonzero(~hit)

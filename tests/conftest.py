@@ -1,5 +1,5 @@
-"""Shared fixture helpers: distinct random keys, synthetic read sets with
-genuine k-mer overlap, damaged gzip."""
+"""Shared fixture helpers: distinct random keys, unpacked bit words, synthetic
+read sets with genuine k-mer overlap, damaged gzip."""
 
 import gzip
 
@@ -18,6 +18,12 @@ def distinct_draw(rng, size, bits=62):
     keep = np.ones(len(ordered), dtype=bool)
     keep[1:] = ordered[1:] != ordered[:-1]
     return ordered[keep]
+
+
+def words_to_bool(words, n_bits):
+    """Inverse of ``bits.pack_bool_to_words``: bit i is word[i >> 6] bit (i & 63)."""
+    as_bytes = np.frombuffer(np.ascontiguousarray(words).tobytes(), dtype=np.uint8)
+    return np.unpackbits(as_bytes, bitorder="little")[:n_bits].astype(bool)
 
 
 def random_genome(rng, length):

@@ -87,18 +87,17 @@ def test_tools_match_per_read_calls(case):
     st.lists(st.text("ACGTN", max_size=40), max_size=12),
     st.integers(1, 8),
     st.integers(1, 200),
-    st.integers(1, 2**63),
 )
-def test_scan_batches_equal_per_read_scans(seqs, k, budget, max_cells):
+def test_scan_batches_equal_per_read_scans(seqs, k, budget):
     reads = [ReadRecord(i, f"r{i}", s) for i, s in enumerate(seqs)]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(kcount, "BATCH_BASES", budget)
-        batches = list(scan_batches(reads, k, max_cells))
+        batches = list(scan_batches(reads, k))
     assert [read for batch in batches for read in batch[0]] == reads
     for batch, positions, codes, sizes in batches:
-        # a batch holds one read, or n reads of at most L bases with n·(L + 1) within both bounds
+        # a batch holds one read, or n reads of at most L bases with n·(L + 1) within the budget
         cells = len(batch) * (max(len(read.seq) for read in batch) + 1)
-        assert len(batch) == 1 or cells <= min(budget, max_cells)
+        assert len(batch) == 1 or cells <= budget
         assert len(sizes) == len(batch) and sizes.sum() == len(codes) == len(positions)
         ends = np.cumsum(sizes)
         for read, lo, hi in zip(batch, ends - sizes, ends):

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from quasidict import cli
 from quasidict.cli import (
     _VERSION_TEXT,
     build_parser,
@@ -160,6 +161,26 @@ def test_failed_run_leaves_no_partial_output(small_data, capsys, command, existi
     assert sorted(p.name for p in d.iterdir()) == before  # nothing created, no temporary file left
     if existing is not None:
         assert out.read_bytes() == existing
+
+
+@pytest.mark.parametrize("exc, message", [
+    (MemoryError("Unable to allocate 2.24 GiB for an array"), "Unable to allocate 2.24 GiB for an array"),
+    (MemoryError(), "out of memory"),
+])
+def test_out_of_memory_is_a_one_line_error(small_data, capsys, monkeypatch, exc, message):
+    def run_out_of_memory(bank, queries, out, **options):
+        out.write("a partial line\n")
+        raise exc
+
+    monkeypatch.setattr(cli, "run_counter", run_out_of_memory)
+    d = small_data["dir"]
+    out = d / "out.txt"
+    out.write_bytes(b"an earlier result\n")
+    before = sorted(p.name for p in d.iterdir())
+    assert main(["counter", "-b", small_data["bank"], "-q", small_data["fof"], "-o", str(out)]) == 1
+    assert capsys.readouterr().err == f"qd counter: error: {message}\n"
+    assert sorted(p.name for p in d.iterdir()) == before
+    assert out.read_bytes() == b"an earlier result\n"
 
 
 def test_output_that_is_no_regular_file_is_written_in_place(small_data):

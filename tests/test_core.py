@@ -7,6 +7,7 @@ import struct
 import numpy as np
 import pytest
 
+from quasidict.bits import DEFAULT_SEED
 from quasidict.core import (
     NOT_FOUND,
     QuasiDictionary,
@@ -193,11 +194,13 @@ def patched(blob, offset, fmt, value):
         (8, "<Q", 5, "perfect hash holds 300 keys"),  # index n_keys
         (64, "<Q", 5, "levels and fallback"),  # the perfect hash's own n_keys
         (64, "<Q", 301, "levels and fallback"),
+        (40, "<Q", DEFAULT_SEED ^ 1, "seed"),  # the index's master seed
+        (80, "<Q", DEFAULT_SEED ^ (1 << 63), "seed"),  # the perfect hash's own seed
     ],
 )
 def test_deserialize_cross_checks_header_counts(offset, fmt, value, message):
-    # QDIC header: magic, version, n_keys @8, f @16, k @20, ...; MPHF header
-    # from byte 56: magic, version, n_keys @64, ...
+    # QDIC header: magic, version, n_keys @8, f @16, k @20, mixers, seed @40, ...;
+    # MPHF header from byte 56: magic, version, n_keys @64, gamma, seed @80, ...
     blob = QuasiDictionary.create(distinct_codes(300, seed=15), f=12).serialize()
     assert QuasiDictionary.deserialize(blob).n_keys == 300
     with pytest.raises(ValueError, match=message):
@@ -231,6 +234,12 @@ def test_create_empty():
 def test_create_rejects_bad_f():
     with pytest.raises(ValueError):
         QuasiDictionary.create(np.array([1], dtype=np.uint64), f=0)
+
+
+@pytest.mark.parametrize("k", [0, 32, 40])
+def test_create_rejects_a_k_the_loader_refuses(k):
+    with pytest.raises(ValueError, match="k-mer length"):
+        QuasiDictionary.create(np.array([1], dtype=np.uint64), k=k)
 
 
 # ---------------------------------------------------------------- index format

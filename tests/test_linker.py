@@ -159,32 +159,6 @@ def test_build_scans_the_bank_once(tmp_path, monkeypatch):
     assert calls["query_array"] == 0
 
 
-def test_batch_key_stays_below_the_limit(tmp_path, monkeypatch):
-    # the key (read · n_targets + target) · span + position is int64; a lowered
-    # limit makes the query batches close early, and the output stays the same
-    rng = np.random.default_rng(8)
-    seqs = reads_from_genome(rng, random_genome(rng, 400), 30, 50)
-    bank = write_fasta(tmp_path / "b.fa", seqs)
-    want = io.StringIO()
-    run_linker(bank, [bank], want, k=9, t=1, window=20)
-    limit = 30 * 51 * 3  # three reads per batch
-    monkeypatch.setattr(linker, "KEY_LIMIT", limit)
-    shapes = []
-
-    def recording(reads, k, max_cells=2**63):
-        for batch in kcount.scan_batches(reads, k, max_cells):
-            if max_cells < 2**63:  # the query side; the bank build keys nothing
-                shapes.append(len(batch[0]) * (max(len(read.seq) for read in batch[0]) + 1))
-            yield batch
-
-    monkeypatch.setattr(linker, "scan_batches", recording)
-    got = io.StringIO()
-    run_linker(bank, [bank], got, k=9, t=1, window=20)
-    assert got.getvalue() == want.getvalue()
-    assert shapes == [3 * 51] * 10
-    assert all(30 * cells <= limit for cells in shapes)
-
-
 def test_screen_never_decides_membership(tmp_path, monkeypatch):
     # reads drawn twice from a genome carry solid k-mers; one-off random reads
     # carry k-mers seen once, which the screen mostly drops before locate

@@ -27,7 +27,6 @@ from quasidict.bits import (
     distinct,
     locate,
     mix64,
-    words_to_bool,
 )
 from quasidict.core import (
     _FINGERPRINT_TAG,
@@ -41,8 +40,10 @@ from quasidict.counter import CountStats, build_counter_index, count_read
 from quasidict.kcount import COUNT_CAP, count_solid, solid_table
 from quasidict.kmer import MAX_K, iter_kmers, scan_kmers
 from quasidict.linker import build_linker_index
-from quasidict.mphf import FALLBACK_CUTOFF, NOT_FOUND, Mphf
+from quasidict.mphf import FALLBACK_CUTOFF, NOT_FOUND, DuplicateKeyError, Mphf
 from quasidict.seqio import ReadRecord
+
+from conftest import words_to_bool
 
 MAX_U64 = 2**64 - 1
 u64 = st.integers(0, MAX_U64)
@@ -111,6 +112,26 @@ def test_mphf_is_a_bijection(keylist, with_extremes):
         assert m.levels == [] and len(m.fallback_keys) == len(keys)
 
 
+@settings(deadline=None, max_examples=60)
+@given(
+    st.lists(u64, unique=True, min_size=FALLBACK_CUTOFF + 1, max_size=300),
+    st.lists(st.tuples(st.integers(0, 299), st.integers(1, 400)), min_size=1, max_size=6),
+    st.integers(0, 2**32 - 1),
+)
+@example(keylist=list(range(1000, 0, -7)), copies=[(40, 1)], shuffle=0)  # one pair
+@example(keylist=list(range(1000, 0, -7)), copies=[(40, 400)], shuffle=1)  # many copies of one key
+@example(keylist=list(range(1000, 0, -7)), copies=[(3, 1), (90, 2), (140, 5)], shuffle=2)  # several keys
+def test_duplicates_are_rejected_with_the_smallest(keylist, copies, shuffle):
+    # among more than FALLBACK_CUTOFF distinct keys, so the cascade runs levels
+    # before the copies reach the fallback together
+    extra = [keylist[i % len(keylist)] for i, n in copies for _ in range(n)]
+    keys = np.random.default_rng(shuffle).permutation(np.array(keylist + extra, dtype=np.uint64))
+    for build in (Mphf.construct, QuasiDictionary.create):
+        with pytest.raises(DuplicateKeyError) as err:
+            build(keys, slots=np.empty(len(keys), dtype=np.int64))
+        assert err.value.key == min(extra)
+
+
 @pytest.mark.parametrize("f", range(1, 65))
 @settings(deadline=None, max_examples=20)
 @given(data=st.data())
@@ -131,7 +152,7 @@ def test_pack_entries_is_inverse_of_stored_fingerprints(f, data):
     st.lists(u64, unique=True, min_size=1, max_size=200),
     st.lists(u64, max_size=20),
     st.integers(1, 64),
-    st.integers(1, 32),
+    st.integers(1, MAX_K),
 )
 def test_scalar_wrappers_equal_array_path_and_reference(keys, probes, f, k):
     slots = np.empty(len(keys), dtype=np.int64)
