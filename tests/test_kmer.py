@@ -1,5 +1,7 @@
 """Codec round trips, reverse-complement identities, window extraction."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -155,3 +157,38 @@ def test_scan_matches_naive_oracle_with_noise():
         positions, codes = scan_kmers(seq, k)
         got = list(zip(positions.tolist(), codes.tolist()))
         assert got == naive_windows(seq, k)
+
+
+def pin_sequence():
+    """65 536 seeded bases with soft-masked stretches, runs of N and one latin-1 byte."""
+    rng = np.random.default_rng(14)
+    raw = np.frombuffer(b"ACGT", np.uint8)[rng.integers(0, 4, 65_536)].copy()
+    for start in rng.integers(0, 65_000, 24):
+        raw[start : start + rng.integers(1, 500)] |= 0x20  # lowercase
+    for start in rng.integers(0, 65_500, 40):
+        raw[start : start + rng.integers(1, 40)] = ord("N")
+    raw[40_000] = 0xE9  # é
+    return raw.tobytes().decode("latin-1")
+
+
+# sha256 of positions then codes over pin_sequence(); any change to an output bit shows here
+SCAN_PINS = {
+    1: "3387e9ece9ecb31d6a63511401768c6b85d0fe5fec068ea89705e881378e3297",
+    2: "7d003f25d9a11644d743343967a9b2ee25c080e0000faa54a2d16e1a9793fcbf",
+    3: "05da75779a12970b1ce38587dbeb06bcf3f7200c53139b3bd3700479255f5240",
+    4: "19012c7b422c91c518805a412e443767d373bcbda64461fefef2870af906eba1",
+    5: "4e26b8279e18947e3aa166ac25516e096eab621a9238d0b0fb159ed2867ae02a",
+    8: "d73fb47a9a4794b8dd2bfe2cbada7f77180d3173bf72a9f10d76254291c16198",
+    9: "df74c53b4186a9da31e51d9fb1c22d9165f19d249cb06f9165ce1f23603b9f1a",
+    15: "b61737685343f13ce095b09c1edcf531e73bbf57986e9dd8eee1765dd026fad9",
+    16: "a3db9f9dbbe5a059c9540a0bc736682e57da9d7bf4b237a0a56b2a5400a43fcd",
+    17: "e96c58e8840cf7f9c4aedb4f3a0e67f7505f24d6b2052348fc74f9a3555389f6",
+    31: "383090f31387e4578dcbc4f359dcf807b9db290085fd0ee332c7f9285e56dcf9",
+}
+
+
+@pytest.mark.parametrize("k", sorted(SCAN_PINS))
+def test_scan_kmers_is_pinned(k):
+    positions, codes = scan_kmers(pin_sequence(), k)
+    blob = positions.astype("<i8").tobytes() + codes.astype("<u8").tobytes()
+    assert hashlib.sha256(blob).hexdigest() == SCAN_PINS[k]
