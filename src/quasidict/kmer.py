@@ -8,9 +8,13 @@ k-mer is the smaller of the code and its reverse-complement code; both
 strands of a DNA fragment therefore index identically.
 
 With digits d[0..k-1] of a window, the code is Σ d[j]·4^(k-1-j) and the
-reverse-complement code is Σ (3 - d[j])·4^j = 4^k - 1 - Σ d[j]·4^j, so
-every window of a sequence comes out of one convolution and one
-correlation of its digits with the powers of 4. Both stay below 4^31 < 2^63.
+reverse-complement code is Σ (3 - d[j])·4^j. A sequence's windows are coded
+all at once by doubling: the code of the s digits from position i, shifted
+up by 2s bits and OR-ed with the code of the s digits from i + s, is the code
+of the 2s digits from i, so ⌈log₂k⌉ whole-array steps reach a span of at
+least k digits (at most 32, one 64-bit word). The reverse-complement codes
+double the same way, least significant digit first. One shift (forward) or
+one mask (reverse) then cuts each span code to its first k digits.
 """
 
 from __future__ import annotations
@@ -30,9 +34,6 @@ _CODE_OF = {"A": 0, "C": 1, "G": 2, "T": 3, "a": 0, "c": 1, "g": 2, "t": 3}
 _LUT = np.full(256, 255, dtype=np.uint8)
 for _ch, _v in _CODE_OF.items():
     _LUT[ord(_ch)] = _v
-
-_POW4 = U64(4) ** np.arange(MAX_K, dtype=np.uint64)
-
 
 class NonNucleotideError(ValueError):
     """A character outside {A,C,G,T} where a nucleotide was required."""
@@ -92,6 +93,13 @@ def scan_kmers(seq: str, k: int) -> tuple[np.ndarray, np.ndarray]:
     Returns (positions, canonical codes): one entry per 0-based start
     position whose k-length window contains only A/C/G/T; windows touching
     any other character are skipped.
+
+    Each strand's codes double in place in one uint64 array, as the module
+    docstring describes: after each step, entry i holds the code of the
+    ``span`` digits from i, where digits past the end of ``seq`` read as
+    zero. A window that starts at i <= len(seq) - k has all k digits inside
+    ``seq``, so that padding lands only in digits the final shift or mask
+    drops, and the last entries need no step of their own.
     """
     check_k(k)
     raw = np.frombuffer(seq.encode("latin-1", errors="replace"), dtype=np.uint8)
@@ -101,11 +109,18 @@ def scan_kmers(seq: str, k: int) -> tuple[np.ndarray, np.ndarray]:
     bad_prefix = np.concatenate([[0], np.cumsum(vals == 255, dtype=np.int64)])
     positions = np.flatnonzero(bad_prefix[k:] == bad_prefix[:-k])
     # a non-ACGT byte leaves a digit 3 that spoils only the windows dropped above
-    digits = (vals & 3).astype(np.uint64)
-    forward = np.convolve(digits, _POW4[:k], "valid")
-    reverse = _POW4[k - 1] * U64(4) - U64(1) - np.correlate(digits, _POW4[:k], "valid")
-    return positions, np.minimum(forward, reverse)[positions]
-
+    forward = (vals & 3).astype(np.uint64)
+    reverse = forward ^ U64(3)
+    span = 1
+    while span < k:
+        shift = U64(2 * span)
+        forward <<= shift
+        forward[:-span] |= forward[span:] >> shift
+        reverse[:-span] |= reverse[span:] << shift
+        span *= 2
+    forward >>= U64(2 * (span - k))
+    reverse &= U64((1 << 2 * k) - 1)
+    return positions, np.minimum(forward, reverse, out=forward)[positions]
 
 def iter_kmers(seq: str, k: int) -> Iterator[tuple[int, int]]:
     """Stream of (position, canonical code) over the valid windows of ``seq``."""

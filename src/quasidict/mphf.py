@@ -8,7 +8,9 @@ A key's dense index is the number of frozen slots before its own, which one
 rank query per level answers in constant time. Equal keys share their
 position at every level, so none of them is ever frozen: every copy of a
 duplicated key reaches the fallback, where construction finds it among its
-sorted neighbours.
+sorted neighbours. A level that freezes no key checks its survivors the same
+way, so many copies of one key are rejected at the first level, not after
+all 64.
 
 Lookups restricted to the construction keys are a bijection onto
 [0, N-1]; foreign keys return an arbitrary index or NOT_FOUND.
@@ -47,6 +49,13 @@ class DuplicateKeyError(ValueError):
         super().__init__(f"duplicate key in input: {self.key:#018x}")
 
 
+def _check_distinct(sorted_keys: np.ndarray) -> None:
+    """DuplicateKeyError naming the smallest key that ``sorted_keys`` repeats, if any."""
+    dup = np.flatnonzero(sorted_keys[1:] == sorted_keys[:-1])
+    if len(dup):
+        raise DuplicateKeyError(int(sorted_keys[dup[0]]))
+
+
 def _level_size(gamma: float, n: int) -> int:
     return max(1, int(np.ceil(gamma * n)))
 
@@ -78,6 +87,7 @@ class Mphf:
 
         ``slots`` (int64, one per key) receives each key's dense index as the
         cascade freezes it; the structure is the same with or without it.
+        Its contents are unspecified when ``construct`` raises.
         """
         if not 1.0 <= gamma <= MAX_GAMMA:  # also false for nan
             raise ValueError(f"gamma must be in [1.0, {MAX_GAMMA}], got {gamma}")
@@ -100,6 +110,8 @@ class Mphf:
             bv = RankBitVector.build(alone)
             frozen = alone[pos]
             done, left = np.flatnonzero(frozen), np.flatnonzero(~frozen)
+            if done.size == 0:
+                _check_distinct(np.sort(remaining))
             # slot: the keys frozen at earlier levels plus the rank in this level
             slots[index[done]] = n - remaining.size + bv.rank1_array(pos[done])
             levels.append(bv)
@@ -107,9 +119,7 @@ class Mphf:
 
         order = np.argsort(remaining)
         fallback = remaining[order]
-        dup = np.flatnonzero(fallback[1:] == fallback[:-1])
-        if len(dup):
-            raise DuplicateKeyError(int(fallback[dup[0]]))
+        _check_distinct(fallback)
         slots[index[order]] = np.arange(n - remaining.size, n)  # fallback keys last, in key order
         return cls(levels, fallback, n, float(gamma), seed)
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from quasidict import mphf
 from quasidict.bitrank import RankBitVector
 from quasidict.mphf import NOT_FOUND, DuplicateKeyError, Mphf
 
@@ -52,6 +53,21 @@ def test_duplicate_keys_rejected():
     with pytest.raises(DuplicateKeyError) as err:
         Mphf.construct(keys)
     assert err.value.key == 8
+
+
+def test_copies_of_one_key_rejected_at_the_first_level(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return level_pos(*args)
+
+    level_pos = mphf._level_pos
+    monkeypatch.setattr(mphf, "_level_pos", counted)
+    with pytest.raises(DuplicateKeyError) as err:
+        Mphf.construct(np.full(300_000, 12345, dtype=np.uint64))
+    assert err.value.key == 12345
+    assert len(calls) <= 2
 
 
 def test_gamma_below_one_rejected():

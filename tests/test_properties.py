@@ -294,8 +294,19 @@ noisy_reads = st.lists(
 ).map("".join)
 
 
+def doubling_tail_examples(test):
+    """Lengths k + 2^j - 1, k + 2^j, k + 2^j + 1 for j < 5: a doubling step
+    that leaves out the last ``span`` entries spoils the final windows here."""
+    for k in (1, 3, 17, MAX_K):
+        for j in range(5):
+            for n in (k + 2**j - 1, k + 2**j, k + 2**j + 1):
+                test = example(seq=("ACGGTCAT" * 8)[:n], k=k)(test)
+    return test
+
+
 @settings(deadline=None, max_examples=300)
 @given(noisy_reads, st.integers(1, MAX_K))
+@doubling_tail_examples
 @example(seq="", k=1)
 @example(seq="ACGTACGTAC", k=MAX_K)  # shorter than k
 @example(seq="T" * MAX_K + "GN" + "a" * MAX_K, k=MAX_K)  # extreme codes on both strands
