@@ -13,8 +13,10 @@ all at once by doubling: the code of the s digits from position i, shifted
 up by 2s bits and OR-ed with the code of the s digits from i + s, is the code
 of the 2s digits from i, so ⌈log₂k⌉ whole-array steps reach a span of at
 least k digits (at most 32, one 64-bit word). The reverse-complement codes
-double the same way, least significant digit first. One shift (forward) or
-one mask (reverse) then cuts each span code to its first k digits.
+hold the first digit lowest, so they double the other way round: the code
+from i + s, shifted up by 2s bits, is OR-ed onto the code from i. One shift
+(forward) or one mask (reverse) then cuts each span code to its first k
+digits.
 """
 
 from __future__ import annotations
@@ -111,12 +113,18 @@ def scan_kmers(seq: str, k: int) -> tuple[np.ndarray, np.ndarray]:
     # a non-ACGT byte leaves a digit 3 that spoils only the windows dropped above
     forward = (vals & 3).astype(np.uint64)
     reverse = forward ^ U64(3)
+    # every step's shifted copy goes to one full-length buffer: fresh temporaries
+    # of a different length at each step fragment the heap and raised the
+    # linker's peak RSS
+    spare = np.empty_like(forward)
     span = 1
     while span < k:
         shift = U64(2 * span)
         forward <<= shift
-        forward[:-span] |= forward[span:] >> shift
-        reverse[:-span] |= reverse[span:] << shift
+        np.right_shift(forward[span:], shift, out=spare[:-span])
+        forward[:-span] |= spare[:-span]
+        np.left_shift(reverse[span:], shift, out=spare[:-span])
+        reverse[:-span] |= spare[:-span]
         span *= 2
     forward >>= U64(2 * (span - k))
     reverse &= U64((1 << 2 * k) - 1)
