@@ -130,6 +130,7 @@ def scan_kmers(seq: str, k: int) -> tuple[np.ndarray, np.ndarray]:
     reverse &= U64((1 << 2 * k) - 1)
     return positions, np.minimum(forward, reverse, out=forward)[positions]
 
+
 def iter_kmers(seq: str, k: int) -> Iterator[tuple[int, int]]:
     """Stream of (position, canonical code) over the valid windows of ``seq``."""
     positions, codes = scan_kmers(seq, k)

@@ -56,13 +56,12 @@ def test_duplicate_keys_rejected():
 
 
 def test_copies_of_one_key_rejected_at_the_first_level(monkeypatch):
-    calls = []
+    level_pos, calls = mphf._level_pos, []
 
     def counted(*args):
         calls.append(1)
         return level_pos(*args)
 
-    level_pos = mphf._level_pos
     monkeypatch.setattr(mphf, "_level_pos", counted)
     with pytest.raises(DuplicateKeyError) as err:
         Mphf.construct(np.full(300_000, 12345, dtype=np.uint64))
