@@ -96,8 +96,8 @@ def scan_kmers(seq: str, k: int) -> tuple[np.ndarray, np.ndarray]:
     position whose k-length window contains only A/C/G/T; windows touching
     any other character are skipped.
 
-    Each strand's codes double in place in one uint64 array, as the module
-    docstring describes: after each step, entry i holds the code of the
+    Each strand's codes double in place in one unsigned array (32 bits up to
+    k = 16, else 64), as the module docstring describes: after each step, entry i holds the code of the
     ``span`` digits from i, where digits past the end of ``seq`` read as
     zero. A window that starts at i <= len(seq) - k has all k digits inside
     ``seq``, so that padding lands only in digits the final shift or mask
@@ -107,28 +107,36 @@ def scan_kmers(seq: str, k: int) -> tuple[np.ndarray, np.ndarray]:
     raw = np.frombuffer(seq.encode("latin-1", errors="replace"), dtype=np.uint8)
     if len(raw) < k:
         return np.empty(0, np.int64), np.empty(0, np.uint64)
-    vals = _LUT[raw]
-    bad_prefix = np.concatenate([[0], np.cumsum(vals == 255, dtype=np.int64)])
-    positions = np.flatnonzero(bad_prefix[k:] == bad_prefix[:-k])
+    vals = np.take(_LUT, raw)
+    # after OR-doubling up to p, the largest power of two <= k, bad[i] flags a
+    # non-ACGT byte in [i, i + p); one more OR from i + k - p (< p) makes it [i, i + k)
+    bad = vals == 255
+    p = 1
+    while 2 * p <= k:
+        bad[:-p] |= bad[p:]
+        p *= 2
+    bad[: len(bad) - (k - p)] |= bad[k - p :]
+    positions = np.flatnonzero(~bad[: len(raw) - k + 1])
     # a non-ACGT byte leaves a digit 3 that spoils only the windows dropped above
-    forward = (vals & 3).astype(np.uint64)
-    reverse = forward ^ U64(3)
+    word = np.uint32 if k <= 16 else U64
+    forward = (vals & 3).astype(word)
+    reverse = forward ^ word(3)
     # every step's shifted copy goes to one full-length buffer: fresh temporaries
     # of a different length at each step fragment the heap and raised the
     # linker's peak RSS
     spare = np.empty_like(forward)
     span = 1
     while span < k:
-        shift = U64(2 * span)
+        shift = word(2 * span)
         forward <<= shift
         np.right_shift(forward[span:], shift, out=spare[:-span])
         forward[:-span] |= spare[:-span]
         np.left_shift(reverse[span:], shift, out=spare[:-span])
         reverse[:-span] |= spare[:-span]
         span *= 2
-    forward >>= U64(2 * (span - k))
-    reverse &= U64((1 << 2 * k) - 1)
-    return positions, np.minimum(forward, reverse, out=forward)[positions]
+    forward >>= word(2 * (span - k))
+    reverse &= word((1 << 2 * k) - 1)
+    return positions, np.minimum(forward, reverse, out=forward)[positions].astype(U64, copy=False)
 
 
 def iter_kmers(seq: str, k: int) -> Iterator[tuple[int, int]]:
