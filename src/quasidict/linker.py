@@ -77,6 +77,11 @@ def _bucket(codes: np.ndarray, bits: int) -> np.ndarray:
     return h.view(np.int64)
 
 
+def _clamp(x: np.ndarray, lo, hi) -> np.ndarray:
+    """``x`` clamped to [lo, hi] in place (``np.clip`` goes through a Python wrapper)."""
+    return np.minimum(np.maximum(x, lo, out=x), hi, out=x)
+
+
 def build_linker_index(
     bank_path: str,
     k: int = 31,
@@ -157,54 +162,70 @@ def link_reads(
         hit = slots >= 0
         starts = index.offsets[slots[hit]]
         lens = index.offsets[slots[hit] + 1] - starts
-        # one incidence per (query position, bank read in that k-mer's posting list)
+        # one incidence per (query position, bank read in that k-mer's posting list), keyed
+        # (read · n_targets + target) · span + position and sorted once: one run per pair
         tgt = index.ids[np.arange(lens.sum()) + np.repeat(starts - np.cumsum(lens) + lens, lens)]
-        pos = np.repeat(positions[hit], lens)
-        row = np.repeat(np.repeat(np.arange(len(batch)), sizes)[hit], lens)
-        if exclude_self:
-            other = tgt != np.array([read.id for read in batch])[row]
-            tgt, pos, row = tgt[other], pos[other], row[other]
-
-        # incidences sorted once by (read, target, position): one run per pair
         span = max(len(read.seq) for read in batch) + 1
-        key = np.sort((row * index.n_targets + tgt) * span + pos)
-        pair = key // span
-        firsts = np.flatnonzero(np.diff(pair, prepend=-1))
-        shared = np.diff(firsts, append=len(key))  # k-mer positions shared per pair
-        # k-mer i owns the positions from its start up to its pair's next start,
-        # at most k; owned runs are disjoint and cover what the target covers. A
-        # step to the next pair is at least span - p > L - p >= k, so min() caps it too.
-        owned = np.minimum(np.diff(key, append=key[-1:] + index.k), index.k)
-        owned_before = np.cumsum(owned) - owned
-
-        def covered_below(x):
-            """Covered positions of pair x // span in [0, x % span)."""
-            j = np.maximum(np.searchsorted(key, x, side="right") - 1, 0)
-            return owned_before[j] + np.clip(x - key[j], 0, owned[j])
-
-        # the smallest best start s scores more than s - 1, so s - 1 is uncovered;
-        # then s starts an owned run, or s + w ends one (else s + 1 scores as well):
-        # s is a k-mer start or an owned-run end - w, clamped to [0, L - w] (0 and
-        # L - w arise as clamps). Whole-read mode is the one window w = L. L is
-        # the batch's longest read: a shorter read is uncovered past its end, so
-        # the starts this adds past its own L' - w score no more than L' - w does.
-        length = span - 1
-        w = length if window is None else min(window, length)
-        base = pair * span
-        cand = np.clip(np.stack([key, key + owned - w]) - base, 0, length - w)
-        scores = covered_below(base + cand + w) - covered_below(base + cand)
-        best = np.maximum.reduceat(scores.max(axis=0), firsts)
-        at_best = np.where(scores == np.repeat(best, shared), cand, span)
-        win_starts = np.minimum.reduceat(at_best.min(axis=0), firsts)
-
-        good = np.flatnonzero((shared >= threshold) & (best >= threshold))
-        query, target = np.divmod(pair[firsts], index.n_targets)
+        row = np.repeat(np.arange(len(batch)), sizes)[hit]
+        key = np.repeat(row * (index.n_targets * span) + positions[hit], lens) + tgt * np.int64(span)
+        if exclude_self:
+            key = key[tgt != np.repeat(np.array([read.id for read in batch])[row], lens)]
+        key.sort()
+        # a pair sharing fewer than threshold k-mer positions is never reported: drop it now
+        firsts = np.flatnonzero(np.diff(key // span, prepend=-1))
+        shared = np.diff(firsts, append=len(key))
+        kept = shared >= threshold
+        key, shared, pair = key[np.repeat(kept, shared)], shared[kept], key[firsts[kept]] // span
+        w = span - 1 if window is None else min(window, span - 1)
+        best, win_starts = _best_windows(key, shared, span, w, index.k)
+        good = np.flatnonzero(best >= threshold)
+        query, target = np.divmod(pair, index.n_targets)
         order = good[np.lexsort((target[good], -best[good]))]  # then split by query read
         ws = [None] * len(order) if window is None else win_starts[order].tolist()
         matches: list[list[MatchResult]] = [[] for _ in batch]
         for q, t, b, s in zip(query[order].tolist(), target[order].tolist(), best[order].tolist(), ws):
             matches[q].append(MatchResult(batch[q].id, t, b, s))
         yield from zip(batch, matches)
+
+
+def _best_windows(key: np.ndarray, shared: np.ndarray, span: int, w: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each pair's best count of covered positions in a width-``w`` window of [0, L), L = span - 1,
+    and the smallest start scoring it. ``key`` is sorted, pair · span + k-mer start; ``shared``
+    counts the k-mers of each pair, whose runs follow one another in ``key``."""
+    firsts = np.cumsum(shared) - shared
+    # k-mer i owns the positions from its start up to its pair's next start,
+    # at most k; owned runs are disjoint and cover what the target covers. A
+    # step to the next pair is at least span - p > L - p >= k, so min() caps it too.
+    owned = np.minimum(np.diff(key, append=key[-1:] + k), k)
+    through = np.cumsum(owned)  # C(x), the covered positions below x, at each run's end
+    owned_before = through - owned  # C at each k-mer start
+    lead = owned_before - key
+
+    def covered_below(x):
+        """C(x), counted over the pairs in key order: one search, then gathers."""
+        j = np.maximum(np.searchsorted(key, x, side="right") - 1, 0)
+        return _clamp(x + lead[j], 0, through[j])  # 0 below the first k-mer start
+
+    # the smallest best start s scores more than s - 1, so s - 1 is uncovered;
+    # then s starts an owned run, or s + w ends one (else s + 1 scores as well):
+    # s is a k-mer start (row 0) or an owned-run end - w (row 1), clamped to
+    # [base, base + L - w]. Whole-read mode is the one window w = L. L is the
+    # batch's longest read: a shorter read is uncovered past its end, so the
+    # starts this adds past its own L' - w score no more than L' - w does.
+    # C never decreases, so C(clamp(x, a, b)) = clamp(C(x), C(a), C(b)). So C is
+    # gathered at a row 0 start, a row 1 end, base and base + L, and searched at a
+    # row 0 end and a row 1 start (per incidence), base + w and base + L - w (per pair).
+    pos = key % span
+    base = key[firsts] - pos[firsts]
+    c_pair = [owned_before[firsts], through[firsts + shared - 1], covered_below(base + [[w], [span - 1 - w]])]
+    c_base, c_top, c_w, c_top_w = np.repeat(np.vstack(c_pair), shared, axis=1)
+    scores = covered_below(np.stack([key + w, key + owned - w]))  # unclamped row 0 ends, row 1 starts
+    scores[0] = np.minimum(scores[0], c_top) - np.minimum(owned_before, c_top_w)
+    scores[1] = _clamp(through, c_w, c_top) - _clamp(scores[1], c_base, c_top_w)
+    cand = _clamp(np.stack([pos, pos + owned - w]), 0, span - 1 - w)
+    best = np.maximum.reduceat(scores.max(axis=0), firsts)
+    at_best = np.where(scores == np.repeat(best, shared), cand, span)
+    return best, np.minimum.reduceat(at_best.min(axis=0), firsts)
 
 
 def format_link_line(read_id: int, matches: list[MatchResult]) -> str:

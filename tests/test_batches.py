@@ -59,6 +59,7 @@ def write_reads(path, seqs):
 @given(cases())
 @example(case=(3, ["GGG", "ACGTTGCAAC"], ["AC", "NNNN", "ACGTTGCAAC", "TTRCAA"], 3, 6, 1, 6, False))
 @example(case=(3, ["GGG", "ACGTTGCAAC"], ["AC"], 9, None, 2, 2, True))
+@example(case=(3, ["GGG", "ACGTTGCAAC"], ["ACGTT", "ACGTTGCAAC"], 64, 8, 1, 6, False))  # a read shorter than w
 def test_tools_match_per_read_calls(case):
     k, bank, queries, budget, window, threshold, f, self_mode = case
     with tempfile.TemporaryDirectory() as tmp:

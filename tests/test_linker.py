@@ -459,6 +459,10 @@ def linker_cases(draw):
 @example(case=(["ACGT"], ReadRecord(1, "q", "TTTTTACGTTTTT"), 3, 1, 6, 1, 6, False))  # best start 9 - w
 @example(case=(["ACGTA"], ReadRecord(1, "q", "ACG"), 4, 1, 8, 1, None, False))  # read shorter than k
 @example(case=(["TTACGTA"], ReadRecord(0, "q", "TTACGTA"), 3, 1, 6, 1, 3, False))  # k-mer at the end
+@example(case=(["ACGT"], ReadRecord(1, "q", "TACGTTTTTTTT"), 3, 1, 6, 1, 6, False))  # best start 0, a run end - w < 0
+@example(case=(["ACGT"], ReadRecord(1, "q", "TTTTTTTTACGT"), 3, 1, 6, 1, 6, False))  # best start clamped to L - w
+@example(case=(["ACGTT"], ReadRecord(1, "q", "ACGTTACG"), 3, 1, 6, 1, 8, False))  # w = L
+@example(case=(["ACGT"], ReadRecord(1, "q", "ACGTAAAA"), 3, 1, 6, 5, 4, False))  # every pair gated out
 def test_link_read_matches_dense_reference(case):
     bank, read, k, t, f, threshold, window, exclude_self = case
     with tempfile.TemporaryDirectory() as tmp:
