@@ -212,16 +212,17 @@ def _best_windows(key: np.ndarray, shared: np.ndarray, span: int, w: int, k: int
     # [base, base + L - w]. Whole-read mode is the one window w = L. L is the
     # batch's longest read: a shorter read is uncovered past its end, so the
     # starts this adds past its own L' - w score no more than L' - w does.
-    # C never decreases, so C(clamp(x, a, b)) = clamp(C(x), C(a), C(b)). So C is
-    # gathered at a row 0 start, a row 1 end, base and base + L, and searched at a
-    # row 0 end and a row 1 start (per incidence), base + w and base + L - w (per pair).
+    # C never decreases, so C(clamp(x, a, b)) = clamp(C(x), C(a), C(b)); a run ends
+    # by base + L, so row 1 needs only the lower bounds. So C is gathered at a row 0
+    # start, a row 1 end, base and base + L, and searched at a row 0 end and a row 1
+    # start (per incidence), base + w and base + L - w (per pair).
     pos = key % span
     base = key[firsts] - pos[firsts]
     c_pair = [owned_before[firsts], through[firsts + shared - 1], covered_below(base + [[w], [span - 1 - w]])]
     c_base, c_top, c_w, c_top_w = np.repeat(np.vstack(c_pair), shared, axis=1)
     scores = covered_below(np.stack([key + w, key + owned - w]))  # unclamped row 0 ends, row 1 starts
     scores[0] = np.minimum(scores[0], c_top) - np.minimum(owned_before, c_top_w)
-    scores[1] = _clamp(through, c_w, c_top) - _clamp(scores[1], c_base, c_top_w)
+    scores[1] = np.maximum(through, c_w) - np.maximum(scores[1], c_base)
     cand = _clamp(np.stack([pos, pos + owned - w]), 0, span - 1 - w)
     best = np.maximum.reduceat(scores.max(axis=0), firsts)
     at_best = np.where(scores == np.repeat(best, shared), cand, span)
