@@ -96,12 +96,13 @@ def scan_kmers(seq: str, k: int) -> tuple[np.ndarray, np.ndarray]:
     position whose k-length window contains only A/C/G/T; windows touching
     any other character are skipped.
 
-    Each strand's codes double in place in one unsigned array (32 bits up to
-    k = 16, else 64), as the module docstring describes: after each step, entry i holds the code of the
-    ``span`` digits from i, where digits past the end of ``seq`` read as
-    zero. A window that starts at i <= len(seq) - k has all k digits inside
-    ``seq``, so that padding lands only in digits the final shift or mask
-    drops, and the last entries need no step of their own.
+    Each strand's codes double in place in one unsigned array (32 bits up
+    to k = 16, else 64), as the module docstring describes: after each
+    step, entry i holds the code of the ``span`` digits from i, where digits
+    past the end of ``seq`` read as zero. A window that starts at
+    i <= len(seq) - k has all k digits inside ``seq``, so that padding lands
+    only in digits the final shift or mask drops, and the last entries need
+    no step of their own.
     """
     check_k(k)
     raw = np.frombuffer(seq.encode("latin-1", errors="replace"), dtype=np.uint8)
