@@ -106,7 +106,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--read-len", type=int, default=2000)
     s.add_argument("--reads-per-spot", type=int, default=50)
     s.add_argument("--error-rate", type=float, default=0.12)
-    s.add_argument("--gap", type=int, default=500, help="minimum gap between spots")
+    s.add_argument("--gap", type=int, default=500, help="minimum gap between spots (>= 0)")
     s.add_argument("--seed", type=int, default=1)
     s.add_argument("--threads", type=int, default=1, help="worker bound (>= 1)")
     s.add_argument("-o", required=True, metavar="FASTA", help="simulated reads output")

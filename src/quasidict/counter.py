@@ -78,7 +78,7 @@ def count_reads(
         # exact integer sums, so sum / n is the float values.mean() gives
         mean = np.bincount(row, weights=values, minlength=len(batch)) / np.maximum(n, 1)
         # counts ascending within each read, reads in batch order
-        ordered = (np.sort(row * 256 + values) % 256).tolist()
+        ordered = (np.sort(row << 8 | values) & 255).tolist()
         for read, c, m, i in zip(batch, n.tolist(), mean.tolist(), (np.cumsum(n) - n).tolist()):
             if c == 0:
                 yield read, None

@@ -44,6 +44,8 @@ class SimConfig:
             raise ValueError(f"error rate must be in [0, 0.5), got {self.error_rate}")
         if self.n_spots < 1 or self.reads_per_spot < 1 or self.read_length < 1:
             raise ValueError("spots, reads per spot and read length must be positive")
+        if self.spot_min_gap < 0:  # spots would overlap, but the truth holds only same-spot pairs
+            raise ValueError(f"gap between spots must be >= 0, got {self.spot_min_gap}")
         if self.n_spots * (self.read_length + self.spot_min_gap) > self.genome_length:
             raise ValueError(
                 f"cannot place {self.n_spots} spots of {self.read_length} bases "

@@ -24,10 +24,8 @@ _HEAD = struct.Struct("<4sIIQ")
 
 COUNT_CAP = 255
 
-# bases and separators per scanned batch of reads; sets the read tools' memory.
-# It also bounds the linker's int64 query key (read · n_targets + target) · span
-# + pos: n · (L + 1) <= 2^16 in a batch of several reads and n_targets < 2^31, so
-# the key stays below 2^47; a lone read keeps it below 2^63 up to 2^32 bases.
+# bases and separators per scanned batch of reads; sets the read tools' memory
+# and bounds the linker's query key (see linker.link_reads)
 BATCH_BASES = 2**16
 
 

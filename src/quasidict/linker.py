@@ -124,10 +124,11 @@ def build_linker_index(
     read = np.searchsorted(ends, at, side="right")
 
     # one incidence per (slot, read); sorted pairs group by slot, then read id
-    pairs = distinct(slot * n_targets + read)[0]
+    tb = (n_targets - 1).bit_length()
+    pairs = distinct(slot << tb | read)[0]
     offsets = np.zeros(n_slots + 1, dtype=np.int64)
-    np.cumsum(np.bincount(pairs // n_targets, minlength=n_slots), out=offsets[1:])
-    return LinkerIndex(qd, offsets, (pairs % n_targets).astype(np.int32), k, n_targets)
+    np.cumsum(np.bincount(pairs >> tb, minlength=n_slots), out=offsets[1:])
+    return LinkerIndex(qd, offsets, (pairs & (1 << tb) - 1).astype(np.int32), k, n_targets)
 
 
 def link_read(
@@ -162,24 +163,27 @@ def link_reads(
         hit = slots >= 0
         starts = index.offsets[slots[hit]]
         lens = index.offsets[slots[hit] + 1] - starts
-        # one incidence per (query position, bank read in that k-mer's posting list), keyed
-        # (read · n_targets + target) · span + position and sorted once: one run per pair
         tgt = index.ids[np.arange(lens.sum()) + np.repeat(starts - np.cumsum(lens) + lens, lens)]
-        span = max(len(read.seq) for read in batch) + 1
+        # one incidence per (query position, bank read in that k-mer's posting list), keyed
+        # ((read << tb | target) << sb) | position with 2^sb > L, the batch's longest read, and sorted
+        # once: one run per pair. n reads have n · (L + 1) <= 2^16 (kcount.BATCH_BASES) and n_targets
+        # <= 2^31, so key < n · 2^(sb+tb) < 2^48; a read alone keeps it below 2^63 while L < 2^32.
+        L = max(len(read.seq) for read in batch)
+        tb, sb = (index.n_targets - 1).bit_length(), L.bit_length()
         row = np.repeat(np.arange(len(batch)), sizes)[hit]
-        key = np.repeat(row * (index.n_targets * span) + positions[hit], lens) + tgt * np.int64(span)
+        key = np.repeat(row << (tb + sb) | positions[hit], lens) | tgt << np.int64(sb)
         if exclude_self:
             key = key[tgt != np.repeat(np.array([read.id for read in batch])[row], lens)]
         key.sort()
         # a pair sharing fewer than threshold k-mer positions is never reported: drop it now
-        firsts = np.flatnonzero(np.diff(key // span, prepend=-1))
+        firsts = np.flatnonzero(np.diff(key >> sb, prepend=-1))
         shared = np.diff(firsts, append=len(key))
         kept = shared >= threshold
-        key, shared, pair = key[np.repeat(kept, shared)], shared[kept], key[firsts[kept]] // span
-        w = span - 1 if window is None else min(window, span - 1)
-        best, win_starts = _best_windows(key, shared, span, w, index.k)
+        key, shared, pair = key[np.repeat(kept, shared)], shared[kept], key[firsts[kept]] >> sb
+        w = L if window is None else min(window, L)
+        best, win_starts = _best_windows(key, shared, L, w, index.k)
         good = np.flatnonzero(best >= threshold)
-        query, target = np.divmod(pair, index.n_targets)
+        query, target = pair >> tb, pair & (1 << tb) - 1
         order = good[np.lexsort((target[good], -best[good]))]  # then split by query read
         ws = [None] * len(order) if window is None else win_starts[order].tolist()
         matches: list[list[MatchResult]] = [[] for _ in batch]
@@ -188,14 +192,12 @@ def link_reads(
         yield from zip(batch, matches)
 
 
-def _best_windows(key: np.ndarray, shared: np.ndarray, span: int, w: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Each pair's best count of covered positions in a width-``w`` window of [0, L), L = span - 1,
-    and the smallest start scoring it. ``key`` is sorted, pair · span + k-mer start; ``shared``
-    counts the k-mers of each pair, whose runs follow one another in ``key``."""
+def _best_windows(key: np.ndarray, shared: np.ndarray, L: int, w: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each pair's best count of covered positions in a width-``w`` window of [0, L) and the smallest start
+    scoring it; ``key`` is sorted, pair << sb | start (sb = L.bit_length()), ``shared`` k-mers per pair."""
     firsts = np.cumsum(shared) - shared
-    # k-mer i owns the positions from its start up to its pair's next start,
-    # at most k; owned runs are disjoint and cover what the target covers. A
-    # step to the next pair is at least span - p > L - p >= k, so min() caps it too.
+    # k-mer i owns the positions from its start up to its pair's next start, at most k; owned runs are
+    # disjoint and cover what the target covers. The step to the next pair, 2^sb - p > L - p or more, exceeds k.
     owned = np.minimum(np.diff(key, append=key[-1:] + k), k)
     through = np.cumsum(owned)  # C(x), the covered positions below x, at each run's end
     owned_before = through - owned  # C at each k-mer start
@@ -206,27 +208,24 @@ def _best_windows(key: np.ndarray, shared: np.ndarray, span: int, w: int, k: int
         j = np.maximum(np.searchsorted(key, x, side="right") - 1, 0)
         return _clamp(x + lead[j], 0, through[j])  # 0 below the first k-mer start
 
-    # the smallest best start s scores more than s - 1, so s - 1 is uncovered;
-    # then s starts an owned run, or s + w ends one (else s + 1 scores as well):
-    # s is a k-mer start (row 0) or an owned-run end - w (row 1), clamped to
-    # [base, base + L - w]. Whole-read mode is the one window w = L. L is the
-    # batch's longest read: a shorter read is uncovered past its end, so the
-    # starts this adds past its own L' - w score no more than L' - w does.
-    # C never decreases, so C(clamp(x, a, b)) = clamp(C(x), C(a), C(b)); a run ends
-    # by base + L, so row 1 needs only the lower bounds. So C is gathered at a row 0
-    # start, a row 1 end, base and base + L, and searched at a row 0 end and a row 1
-    # start (per incidence), base + w and base + L - w (per pair).
-    pos = key % span
+    # The smallest best start s is 0, L - w or a candidate: s scores more than s - 1, so s - 1 is
+    # uncovered, and s + 1 scores no more, so s starts an owned run (a k-mer start, row 0) or s + w
+    # ends one (an owned-run end - w, row 1). The edge windows and each candidate in [0, L - w] score
+    # exactly, with no clamp; one outside scores -1. A score packs with L - w - start (below 2^63 while
+    # L < 2^32), so one max gives the best score and its smallest start. Whole-read mode is the window
+    # w = L. L is the batch's longest read: a shorter one is uncovered past its end, so no start past
+    # its own L' - w scores more than L' - w does.
+    pos = key & (1 << L.bit_length()) - 1
     base = key[firsts] - pos[firsts]
-    c_pair = [owned_before[firsts], through[firsts + shared - 1], covered_below(base + [[w], [span - 1 - w]])]
-    c_base, c_top, c_w, c_top_w = np.repeat(np.vstack(c_pair), shared, axis=1)
-    scores = covered_below(np.stack([key + w, key + owned - w]))  # unclamped row 0 ends, row 1 starts
-    scores[0] = np.minimum(scores[0], c_top) - np.minimum(owned_before, c_top_w)
-    scores[1] = np.maximum(through, c_w) - np.maximum(scores[1], c_base)
-    cand = _clamp(np.stack([pos, pos + owned - w]), 0, span - 1 - w)
-    best = np.maximum.reduceat(scores.max(axis=0), firsts)
-    at_best = np.where(scores == np.repeat(best, shared), cand, span)
-    return best, np.minimum.reduceat(at_best.min(axis=0), firsts)
+    cb = (L - w).bit_length()
+    c = covered_below(base + [[0], [w], [L - w], [L]])
+    edges = (c[1::2] - c[::2]) << cb | [[L - w], [0]]  # the windows at 0 and at L - w
+    cand = np.stack([pos, pos + owned - w])
+    c = covered_below(np.stack([key + w, key + owned - w]))  # row 0 ends, row 1 starts
+    scores = np.stack([c[0] - owned_before, through - c[1]])
+    scores = np.where((cand < 0) | (cand > L - w), -1, scores << cb | L - w - cand)
+    top = np.maximum(np.maximum.reduceat(scores.max(axis=0), firsts), edges.max(axis=0))
+    return top >> cb, L - w - (top & (1 << cb) - 1)
 
 
 def format_link_line(read_id: int, matches: list[MatchResult]) -> str:

@@ -60,6 +60,12 @@ def write_reads(path, seqs):
 @example(case=(3, ["GGG", "ACGTTGCAAC"], ["AC", "NNNN", "ACGTTGCAAC", "TTRCAA"], 3, 6, 1, 6, False))
 @example(case=(3, ["GGG", "ACGTTGCAAC"], ["AC"], 9, None, 2, 2, True))
 @example(case=(3, ["GGG", "ACGTTGCAAC"], ["ACGTT", "ACGTTGCAAC"], 64, 8, 1, 6, False))  # a read shorter than w
+# the key's bit fields: a read of 2^4 bases beside a shorter one, reads of 2^4 - 1 and 2^4 + 1 bases, best
+# starts 0 and L - w at L = 16, and banks of 1, 2 and 3 reads
+@example(case=(3, ["ACGGTCATTGCAAGCT"], ["ACGGTCATTGCAAGCT", "ACGGTCA"], 64, None, 1, 6, False))
+@example(case=(3, ["ACGGTCATTGCAAGCTT", "TTTTACGGTCA"], ["ACGGTCATTGCAAGC", "ACGGTCATTGCAAGCTT"], 64, 6, 1, 6, False))
+@example(case=(3, ["ACGGT", "CATTGC", "TCGCA"], ["AAAAAAAAAAATCGCA", "ACGGTAAAAAAAAAAA"], 64, 6, 1, 6, False))
+@example(case=(3, ["ACGGTCATTGCAAGCT", "ACGGTCA", "GCAAGCTT"], [], 64, 5, 1, 6, True))
 def test_tools_match_per_read_calls(case):
     k, bank, queries, budget, window, threshold, f, self_mode = case
     with tempfile.TemporaryDirectory() as tmp:

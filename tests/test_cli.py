@@ -88,6 +88,18 @@ def test_sim_and_score_pipeline(tmp_path, capsys):
     assert 0 <= recall <= 100 and 0 <= precision <= 100 and 0 <= f <= 100
 
 
+def test_sim_negative_gap_exits_1(tmp_path, capsys):
+    # a gap of -900 would plant overlapping spots whose overlaps the truth does not hold
+    reads, truth = tmp_path / "reads.fa", tmp_path / "truth.tsv"
+    rc = main_sim(
+        ["--genome-len", "10000", "--spots", "3", "--read-len", "1000", "--reads-per-spot", "2",
+         "--gap", "-900", "--seed", "1", "-o", str(reads), "--truth", str(truth)]
+    )
+    assert rc == 1
+    assert capsys.readouterr().err == "qd sim: error: gap between spots must be >= 0, got -900\n"
+    assert not reads.exists() and not truth.exists()
+
+
 def test_invalid_f_exits_2(small_data):
     with pytest.raises(SystemExit) as err:
         main(["counter", "-b", small_data["bank"], "-q", small_data["fof"], "-o", "/dev/null", "-f", "65"])

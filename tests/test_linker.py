@@ -463,6 +463,14 @@ def linker_cases(draw):
 @example(case=(["ACGT"], ReadRecord(1, "q", "TTTTTTTTACGT"), 3, 1, 6, 1, 6, False))  # best start clamped to L - w
 @example(case=(["ACGTT"], ReadRecord(1, "q", "ACGTTACG"), 3, 1, 6, 1, 8, False))  # w = L
 @example(case=(["ACGT"], ReadRecord(1, "q", "ACGTAAAA"), 3, 1, 6, 5, 4, False))  # every pair gated out
+# the key's bit fields: sb = L.bit_length() changes at L = 2^j, tb = (bank reads - 1).bit_length() at 1, 2, 3 reads
+@example(case=(["ACGGTCATTGCAAGC"], ReadRecord(1, "q", "ACGGTCATTGCAAGC"), 3, 1, 6, 1, None, False))  # L = 2^4 - 1
+@example(case=(["ACGGTCATTGCAAGCT", "TTTTACGGTCA"], ReadRecord(0, "q", "ACGGTCATTGCAAGCT"), 3, 1, 6, 1, 5, True))
+@example(
+    case=(["ACGGTCATTGCAAGCTT", "CATTGC", "GCAAGCTT"], ReadRecord(3, "q", "ACGGTCATTGCAAGCTT"), 3, 1, 6, 1, 6, False)
+)
+@example(case=(["ACGGT"], ReadRecord(1, "q", "ACGGTAAAAAAAAAAA"), 3, 1, 6, 1, 6, False))  # L = 16, best start 0
+@example(case=(["TCGCA"], ReadRecord(1, "q", "AAAAAAAAAAATCGCA"), 3, 1, 6, 1, 6, False))  # L = 16, best start L - w
 def test_link_read_matches_dense_reference(case):
     bank, read, k, t, f, threshold, window, exclude_self = case
     with tempfile.TemporaryDirectory() as tmp:
