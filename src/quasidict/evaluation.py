@@ -140,23 +140,42 @@ def write_truth(truth: set, path: str) -> None:
             fh.write(f"{a}\t{b}\n")
 
 
+def _parsed_lines(path: str, parse, form: str) -> list:
+    """``parse`` of each stripped non-blank line; a line it rejects raises ``ValueError`` naming path:line."""
+    out = []
+    with open(path, encoding="latin-1") as fh:  # any byte reaches parse, which rejects what is no id
+        for n, line in enumerate(map(str.strip, fh), 1):
+            if line:
+                try:
+                    out.append(parse(line))
+                except ValueError:
+                    raise ValueError(f"{path}:{n}: expected {form}") from None
+    return out
+
+
+def _id_pair(line: str) -> tuple[int, int]:
+    a, b = map(int, line.split("\t"))
+    if a == b:
+        raise ValueError
+    return a, b
+
+
+def _links(line: str) -> list[tuple[int, int]]:
+    qid_text, _, rest = line.partition(":")
+    qid = int(qid_text)
+    return [(qid, int(item.split("-", 1)[0])) for item in rest.split()]
+
+
 def load_truth(path: str) -> set:
     """The truth file's pairs, each oriented (a, b) with a < b."""
-    with open(path) as fh:
-        return normalize_pairs(map(int, line.split("\t")) for line in map(str.strip, fh) if line)
+    return normalize_pairs(_parsed_lines(path, _id_pair, "two distinct read ids separated by one tab"))
 
 
 def pairs_from_linker_output(path: str) -> set:
     """Adapter: linker text output -> deduplicated unordered id pairs
     (scores, window starts and self links dropped)."""
-    links = []
-    with open(path) as fh:
-        for line in map(str.strip, fh):
-            if line:
-                qid_text, _, rest = line.partition(":")
-                qid = int(qid_text)
-                links.extend((qid, int(item.split("-", 1)[0])) for item in rest.split())
-    return normalize_pairs((q, t) for q, t in links if q != t)
+    lines = _parsed_lines(path, _links, "'<read id>:<target id>-<score>[@<start>] ...'")
+    return normalize_pairs((q, t) for links in lines for q, t in links if q != t)
 
 
 def score(

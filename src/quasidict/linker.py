@@ -172,18 +172,18 @@ def link_reads(
         tb, sb = (index.n_targets - 1).bit_length(), L.bit_length()
         row = np.repeat(np.arange(len(batch)), sizes)[hit]
         key = np.repeat(row << (tb + sb) | positions[hit], lens) | tgt << np.int64(sb)
-        if exclude_self:
-            key = key[tgt != np.repeat(np.array([read.id for read in batch])[row], lens)]
         key.sort()
-        # a pair sharing fewer than threshold k-mer positions is never reported: drop it now
+        # a pair sharing fewer than threshold k-mer positions, or an excluded self pair, is never reported
         firsts = np.flatnonzero(np.diff(key >> sb, prepend=-1))
         shared = np.diff(firsts, append=len(key))
+        query, target = key[firsts] >> sb + tb, key[firsts] >> sb & (1 << tb) - 1
         kept = shared >= threshold
-        key, shared, pair = key[np.repeat(kept, shared)], shared[kept], key[firsts[kept]] >> sb
+        if exclude_self:  # one pair per query read at most, so no other pair changes
+            kept &= target != np.array([read.id for read in batch])[query]
+        key, query, target = key[np.repeat(kept, shared)], query[kept], target[kept]
         w = L if window is None else min(window, L)
-        best, win_starts = _best_windows(key, shared, L, w, index.k)
+        best, win_starts = _best_windows(key, L, w, index.k)
         good = np.flatnonzero(best >= threshold)
-        query, target = pair >> tb, pair & (1 << tb) - 1
         order = good[np.lexsort((target[good], -best[good]))]  # then split by query read
         ws = [None] * len(order) if window is None else win_starts[order].tolist()
         matches: list[list[MatchResult]] = [[] for _ in batch]
@@ -192,37 +192,36 @@ def link_reads(
         yield from zip(batch, matches)
 
 
-def _best_windows(key: np.ndarray, shared: np.ndarray, L: int, w: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+def _best_windows(key: np.ndarray, L: int, w: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Each pair's best count of covered positions in a width-``w`` window of [0, L) and the smallest start
-    scoring it; ``key`` is sorted, pair << sb | start (sb = L.bit_length()), ``shared`` k-mers per pair."""
-    firsts = np.cumsum(shared) - shared
-    # k-mer i owns the positions from its start up to its pair's next start, at most k; owned runs are
-    # disjoint and cover what the target covers. The step to the next pair, 2^sb - p > L - p or more, exceeds k.
-    owned = np.minimum(np.diff(key, append=key[-1:] + k), k)
-    through = np.cumsum(owned)  # C(x), the covered positions below x, at each run's end
-    owned_before = through - owned  # C at each k-mer start
-    lead = owned_before - key
+    scoring it; ``key`` is sorted, pair << sb | start (sb = L.bit_length())."""
+    # Maximal covered runs: a step of more than k to the next key ends one (a step of exactly k touches).
+    # A step into the next pair, 2^sb - p > L - p >= k, always ends one, and so does the last key's sentinel.
+    last = np.flatnonzero(np.diff(key, append=key[-1:] + k + 1) > k)
+    start, end = np.concatenate((key[:1], key[last[:-1] + 1])), key[last] + k
+    through = np.cumsum(end - start)  # C(x), the covered positions below x, at each run's end
+    lead = through - end
 
     def covered_below(x):
-        """C(x), counted over the pairs in key order: one search, then gathers."""
-        j = np.maximum(np.searchsorted(key, x, side="right") - 1, 0)
-        return _clamp(x + lead[j], 0, through[j])  # 0 below the first k-mer start
+        """C(x), counted over the pairs in key order: one search of the run starts, then gathers."""
+        j = np.maximum(np.searchsorted(start, x, side="right") - 1, 0)
+        return _clamp(x + lead[j], 0, through[j])  # 0 below the first run
 
     # The smallest best start s is 0, L - w or a candidate: s scores more than s - 1, so s - 1 is
-    # uncovered, and s + 1 scores no more, so s starts an owned run (a k-mer start, row 0) or s + w
-    # ends one (an owned-run end - w, row 1). The edge windows and each candidate in [0, L - w] score
-    # exactly, with no clamp; one outside scores -1. A score packs with L - w - start (below 2^63 while
-    # L < 2^32), so one max gives the best score and its smallest start. Whole-read mode is the window
-    # w = L. L is the batch's longest read: a shorter one is uncovered past its end, so no start past
-    # its own L' - w scores more than L' - w does.
-    pos = key & (1 << L.bit_length()) - 1
-    base = key[firsts] - pos[firsts]
+    # uncovered and s + w - 1 covered, and s + 1 scores no more, so s + w is covered only if s is: s
+    # starts a maximal run (row 0), or s + w ends one (a run end - w, row 1). The edge windows and each
+    # candidate in [0, L - w] score exactly; one outside scores -1. A score packs with L - w - start
+    # (below 2^63 while L < 2^32), so one max gives the best score and its smallest start. Whole-read
+    # mode is w = L. L is the batch's longest read: a shorter one is uncovered past its end.
+    pos = start & (1 << L.bit_length()) - 1
+    firsts = np.flatnonzero(np.diff(start - pos, prepend=-1))  # each pair's first run
+    base = start[firsts] - pos[firsts]
     cb = (L - w).bit_length()
     c = covered_below(base + [[0], [w], [L - w], [L]])
     edges = (c[1::2] - c[::2]) << cb | [[L - w], [0]]  # the windows at 0 and at L - w
-    cand = np.stack([pos, pos + owned - w])
-    c = covered_below(np.stack([key + w, key + owned - w]))  # row 0 ends, row 1 starts
-    scores = np.stack([c[0] - owned_before, through - c[1]])
+    cand = np.stack([pos, pos + end - start - w])
+    c = covered_below(np.stack([start + w, end - w]))  # row 0 ends, row 1 starts
+    scores = np.stack([c[0] - start - lead, through - c[1]])
     scores = np.where((cand < 0) | (cand > L - w), -1, scores << cb | L - w - cand)
     top = np.maximum(np.maximum.reduceat(scores.max(axis=0), firsts), edges.max(axis=0))
     return top >> cb, L - w - (top & (1 << cb) - 1)

@@ -88,6 +88,27 @@ def test_sim_and_score_pipeline(tmp_path, capsys):
     assert 0 <= recall <= 100 and 0 <= precision <= 100 and 0 <= f <= 100
 
 
+@pytest.mark.parametrize(
+    "pred, truth, bad, line",
+    [
+        (b"0:1-20\n1:zz\n", b"0\t1\n", "pred", 2),  # a target id that is no integer
+        (b"0:1-20\n1:\xe9-3\n", b"0\t1\n", "pred", 2),  # a byte that is no UTF-8
+        (b"0:1-20\n", b"0\t1\n\n2 3\n", "truth", 3),  # a space, not a tab; the blank line counts
+        (b"0:1-20\n", b"0\t1\t2\n", "truth", 1),  # three fields
+        (b"0:1-20\n", b"0\t1\n3\t3\n", "truth", 2),  # a self pair
+    ],
+    ids=["pred-target-not-int", "pred-not-utf8", "truth-space", "truth-three-fields", "truth-self-pair"],
+)
+def test_score_error_names_the_line(tmp_path, capsys, pred, truth, bad, line):
+    paths = {"pred": tmp_path / "links.txt", "truth": tmp_path / "truth.tsv"}
+    paths["pred"].write_bytes(pred)
+    paths["truth"].write_bytes(truth)
+    rc = main_score(["--pred", str(paths["pred"]), "--truth", str(paths["truth"])])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"qd score: error: {paths[bad]}:{line}: expected ") and err.count("\n") == 1
+
+
 def test_sim_negative_gap_exits_1(tmp_path, capsys):
     # a gap of -900 would plant overlapping spots whose overlaps the truth does not hold
     reads, truth = tmp_path / "reads.fa", tmp_path / "truth.tsv"

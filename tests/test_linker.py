@@ -471,6 +471,11 @@ def linker_cases(draw):
 )
 @example(case=(["ACGGT"], ReadRecord(1, "q", "ACGGTAAAAAAAAAAA"), 3, 1, 6, 1, 6, False))  # L = 16, best start 0
 @example(case=(["TCGCA"], ReadRecord(1, "q", "AAAAAAAAAAATCGCA"), 3, 1, 6, 1, 6, False))  # L = 16, best start L - w
+# maximal covered runs: the shared k-mers start at the positions noted, and N splits a bank read's k-mers
+@example(case=(["CAGNGAC"], ReadRecord(1, "q", "TTCAGGACTT"), 3, 1, 6, 1, 4, False))  # 2, 5: k apart, one run
+@example(case=(["CAGNGACNACA"], ReadRecord(1, "q", "TTCAGTGACATT"), 3, 1, 6, 1, 4, False))  # 2 | 6, 7: best at 6
+@example(case=(["AGCTTAGC"], ReadRecord(1, "q", "CCCAGCTTAGC"), 3, 1, 6, 1, 5, False))  # 3..8: a run ending at L
+@example(case=(["CAG"], ReadRecord(1, "q", "TTTTTCAGTTTTTT"), 3, 1, 6, 1, 6, False))  # 5: best at its end - w, 2
 def test_link_read_matches_dense_reference(case):
     bank, read, k, t, f, threshold, window, exclude_self = case
     with tempfile.TemporaryDirectory() as tmp:

@@ -4,8 +4,10 @@ import gzip
 import zlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from quasidict.seqio import ParseError, open_file_of_files, open_reads
+from quasidict.seqio import ParseError, ReadRecord, open_file_of_files, open_reads
 
 from conftest import damaged_gzip
 
@@ -161,3 +163,47 @@ def test_file_of_files_trailing_newline_and_blanks(tmp_path):
 def test_file_of_files_missing():
     with pytest.raises(OSError):
         open_file_of_files("/no/such/fof.txt")
+
+
+# the ASCII whitespace that ends a header word; \n and \r end a line
+_WORD_END = "\t\n\v\f\r\x1c\x1d\x1e\x1f "
+_LINE_TEXT = st.characters(codec="latin-1", exclude_characters="\n\r")
+
+
+@st.composite
+def read_files(draw):
+    """Bytes of a FASTA or FASTQ file and the records they hold, the reference for ``open_reads``."""
+    fastq = draw(st.booleans())
+    lines, records = [], []
+    for rid in range(draw(st.integers(1, 4))):
+        word = draw(st.text(st.characters(codec="latin-1", exclude_characters=_WORD_END), max_size=6))
+        rest = draw(st.sampled_from(["", " ", "\t"])) if word else ""  # text after no word would be the word
+        head = draw(st.sampled_from(["", " ", "\t "])) + word + (rest and rest + draw(st.text(_LINE_TEXT, max_size=8)))
+        seq = draw(st.text(_LINE_TEXT, min_size=1, max_size=20))
+        records.append(ReadRecord(rid, word, seq))
+        if fastq:
+            qual = draw(st.text(_LINE_TEXT, min_size=len(seq), max_size=len(seq)))
+            lines += ["@" + head, seq, "+" + draw(st.text(_LINE_TEXT, max_size=4)), qual]
+            continue
+        lines.append(">" + head)
+        width = draw(st.integers(1, 20))
+        for i in range(0, len(seq), width):
+            lines += [""] * draw(st.integers(0, 1))  # blank lines are skipped
+            lines.append(seq[i : i + width])
+        if ">" in seq[::width]:
+            return draw(st.nothing())  # a sequence line starting with '>' would be a header
+    ends = [draw(st.sampled_from(["\n", "\r\n"])) for _ in lines]
+    data = "".join(map(str.__add__, lines, ends)).encode("latin-1")
+    return data if draw(st.booleans()) else data.rstrip(b"\r\n"), records  # maybe no break after the last line
+
+
+@settings(deadline=None, max_examples=100)
+@given(read_files())
+def test_open_reads_matches_generated_records(tmp_path_factory, case):
+    data, records = case
+    plain = tmp_path_factory.mktemp("reads") / "reads"
+    plain.write_bytes(data)
+    packed = plain.with_suffix(".gz")
+    packed.write_bytes(gzip.compress(data))
+    assert list(open_reads(str(plain))) == records
+    assert list(open_reads(str(packed))) == records
