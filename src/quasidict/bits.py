@@ -54,21 +54,30 @@ def pack_bool_to_words(bits: np.ndarray) -> np.ndarray:
     return np.pad(raw, (0, -len(raw) % 8)).view("<u8")
 
 
+def changes(ordered: np.ndarray, out=None) -> np.ndarray:
+    """``ordered[i + 1] != ordered[i]`` for each i: where a run of equal neighbours ends.
+
+    The one neighbour-compare rule for sorted values (or sorted runs of them).
+    """
+    return np.not_equal(ordered[1:], ordered[:-1], out=out)
+
+
 def distinct(values: np.ndarray, t: int = 1) -> tuple[np.ndarray, np.ndarray]:
     """The distinct values seen at least t times, sorted, and how often each is seen.
 
-    One sorted copy and two byte masks, no per-distinct-value arrays: a run
+    One sorted copy and three byte masks, no per-distinct-value arrays: a run
     qualifies where the value t - 1 places on is the same one; its first
     such window starts the run and its last such window ends it.
     """
     ordered = np.sort(values)
-    head = ordered[: max(len(ordered) - t + 1, 0)]  # run starts that leave room for t equal values
-    tail = ordered[t - 1 :]
-    ends = head == tail
+    step = changes(ordered)
+    n = max(len(ordered) - t + 1, 0)  # run starts that leave room for t equal values
+    ends = ordered[:n] == ordered[t - 1 :]
     starts = ends.copy()
-    starts[1:] &= head[1:] != head[:-1]
-    ends[:-1] &= tail[1:] != tail[:-1]
+    starts[1:] &= step[: max(n - 1, 0)]
     first = np.flatnonzero(starts)
+    del starts
+    ends[:-1] &= step[t - 1 :]
     return ordered[first], np.flatnonzero(ends) + t - first
 
 
@@ -77,7 +86,8 @@ def locate(table: np.ndarray, x: np.ndarray) -> np.ndarray:
     if len(table) == 0:
         return np.full(len(x), -1, dtype=np.intp)
     # a value past the last entry compares against that entry and fails
-    loc = np.minimum(np.searchsorted(table, x), len(table) - 1)
+    loc = np.searchsorted(table, x)
+    np.minimum(loc, len(table) - 1, out=loc)
     loc[table[loc] != x] = -1
     return loc
 

@@ -16,7 +16,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .bits import U64, check_room, distinct
-from .kmer import check_k, scan_kmers
+from .kmer import check_k, code_word, scan_kmers
 from .seqio import ReadRecord
 
 _MAGIC = b"SKMT"
@@ -38,7 +38,7 @@ def _check_t(t: int) -> None:
 class SolidKmerTable:
     """Distinct canonical codes sorted ascending, with capped counts."""
 
-    codes: np.ndarray  # uint64, sorted
+    codes: np.ndarray  # sorted, in code_word(k): uint32 up to k = 16, else uint64
     counts: np.ndarray  # uint8, min(true count, 255)
     k: int
     t: int
@@ -47,7 +47,7 @@ class SolidKmerTable:
         return len(self.codes)
 
     def dump(self, path: str) -> None:
-        """On-disk form: magic, k, t, entry count, then (code, count) pairs."""
+        """On-disk form: magic, k, t, entry count, then the codes as <u8 and the counts as u8."""
         with open(path, "wb") as fh:
             fh.write(_HEAD.pack(_MAGIC, self.k, self.t, len(self.codes)))
             fh.write(self.codes.astype("<u8").tobytes())
@@ -64,7 +64,7 @@ class SolidKmerTable:
             raise ValueError("not a solid k-mer table file")
         if _HEAD.size + 9 * n != len(buf):
             raise ValueError(f"expected {_HEAD.size + 9 * n} bytes, got {len(buf)}")
-        codes = np.frombuffer(buf, dtype="<u8", count=n, offset=_HEAD.size).copy()
+        codes = np.frombuffer(buf, dtype="<u8", count=n, offset=_HEAD.size)
         counts = np.frombuffer(buf, dtype=np.uint8, count=n, offset=_HEAD.size + 8 * n).copy()
         check_k(k)
         _check_t(t)
@@ -72,7 +72,7 @@ class SolidKmerTable:
             raise ValueError(f"codes are not strictly increasing k-mer codes below 4^{k}")
         if (counts < t).any():
             raise ValueError(f"a count is below the solidity threshold {t}")
-        return cls(codes, counts, k, t)
+        return cls(codes.astype(code_word(k)), counts, k, t)
 
 
 def scan_batches(reads: Iterable[ReadRecord], k: int) -> Iterator[tuple]:
@@ -101,8 +101,8 @@ def _scan_batch(batch: list[ReadRecord], k: int) -> tuple:
 
 
 def scan_reads(reads: Iterable[ReadRecord], k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Every read's canonical codes concatenated in read order, and k-mers per read."""
-    parts = [(np.empty(0, U64), np.empty(0, np.int64))]
+    """Every read's canonical codes concatenated in read order, in ``code_word(k)``, and k-mers per read."""
+    parts = [(np.empty(0, code_word(k)), np.empty(0, np.int64))]
     parts += [(codes, sizes) for _, _, codes, sizes in scan_batches(reads, k)]
     return tuple(np.concatenate(part) for part in zip(*parts))
 

@@ -1,11 +1,13 @@
 """2-bit k-mer codec: encode/decode, reverse complement, canonical form,
 and sliding-window extraction from nucleotide strings.
 
-A k-mer (k <= 31) packs into one 64-bit word, two bits per base
+A k-mer (k <= 31) packs into one unsigned word, two bits per base
 (A=0, C=1, G=2, T=3), most significant base first, so numeric order of
-codes equals lexicographic order of strings. The canonical form of a
-k-mer is the smaller of the code and its reverse-complement code; both
-strands of a DNA fragment therefore index identically.
+codes equals lexicographic order of strings. Arrays of codes use the
+narrowest word that holds 2k bits (:func:`code_word`): 32 bits up to
+k = 16, else 64. The canonical form of a k-mer is the smaller of the code
+and its reverse-complement code; both strands of a DNA fragment therefore
+index identically.
 
 With digits d[0..k-1] of a window, the code is Σ d[j]·4^(k-1-j) and the
 reverse-complement code is Σ (3 - d[j])·4^j. A sequence's windows are coded
@@ -52,6 +54,11 @@ def check_k(k: int) -> None:
         raise ValueError(f"k-mer length must be in [1, {MAX_K}], got {k}")
 
 
+def code_word(k: int) -> type:
+    """The unsigned numpy word of length-k code arrays: uint32 up to k = 16, else uint64."""
+    return np.uint32 if k <= 16 else U64
+
+
 def encode(s: str) -> int:
     """Pack a string over {A,C,G,T} (case-insensitive) into its code."""
     check_k(len(s))
@@ -94,20 +101,22 @@ def scan_kmers(seq: str, k: int) -> tuple[np.ndarray, np.ndarray]:
 
     Returns (positions, canonical codes): one entry per 0-based start
     position whose k-length window contains only A/C/G/T; windows touching
-    any other character are skipped.
+    any other character are skipped. The positions are int64 and the codes
+    come in ``code_word(k)``, the word they were computed in: 4 bytes per
+    k-mer up to k = 16, else 8.
 
-    Each strand's codes double in place in one unsigned array (32 bits up
-    to k = 16, else 64), as the module docstring describes: after each
-    step, entry i holds the code of the ``span`` digits from i, where digits
-    past the end of ``seq`` read as zero. A window that starts at
-    i <= len(seq) - k has all k digits inside ``seq``, so that padding lands
-    only in digits the final shift or mask drops, and the last entries need
-    no step of their own.
+    Each strand's codes double in place in one array of that word, as the
+    module docstring describes: after each step, entry i holds the code of
+    the ``span`` digits from i, where digits past the end of ``seq`` read as
+    zero. A window that starts at i <= len(seq) - k has all k digits inside
+    ``seq``, so that padding lands only in digits the final shift or mask
+    drops, and the last entries need no step of their own.
     """
     check_k(k)
+    word = code_word(k)
     raw = np.frombuffer(seq.encode("latin-1", errors="replace"), dtype=np.uint8)
     if len(raw) < k:
-        return np.empty(0, np.int64), np.empty(0, np.uint64)
+        return np.empty(0, np.int64), np.empty(0, word)
     vals = np.take(_LUT, raw)
     # after OR-doubling up to p, the largest power of two <= k, bad[i] flags a
     # non-ACGT byte in [i, i + p); one more OR from i + k - p (< p) makes it [i, i + k)
@@ -119,7 +128,6 @@ def scan_kmers(seq: str, k: int) -> tuple[np.ndarray, np.ndarray]:
     bad[: len(bad) - (k - p)] |= bad[k - p :]
     positions = np.flatnonzero(~bad[: len(raw) - k + 1])
     # a non-ACGT byte leaves a digit 3 that spoils only the windows dropped above
-    word = np.uint32 if k <= 16 else U64
     forward = (vals & 3).astype(word)
     reverse = forward ^ word(3)
     # every step's shifted copy goes to one full-length buffer: fresh temporaries
@@ -137,7 +145,7 @@ def scan_kmers(seq: str, k: int) -> tuple[np.ndarray, np.ndarray]:
         span *= 2
     forward >>= word(2 * (span - k))
     reverse &= word((1 << 2 * k) - 1)
-    return positions, np.minimum(forward, reverse, out=forward)[positions].astype(U64, copy=False)
+    return positions, np.minimum(forward, reverse, out=forward)[positions]
 
 
 def iter_kmers(seq: str, k: int) -> Iterator[tuple[int, int]]:

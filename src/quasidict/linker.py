@@ -24,7 +24,7 @@ from typing import Iterable, Iterator, Optional, TextIO
 
 import numpy as np
 
-from .bits import DEFAULT_SEED, U64, distinct, locate
+from .bits import DEFAULT_SEED, U64, changes, locate
 from .core import QuasiDictionary
 from .kcount import scan_batches, scan_reads, solid_table
 from .kmer import scan_kmers  # noqa: F401 (bench/tests checks that the tracer wraps this binding)
@@ -41,6 +41,9 @@ SCREEN_BYTES_PER_CODE = 8
 
 # odd multiplier of the screen's multiply-shift hash: 2^64 over the golden ratio
 SCREEN_MULT = 0x9E3779B97F4A7C15
+
+# bank codes hashed per step of the screen
+SCREEN_CHUNK = 2**16
 
 
 @dataclass
@@ -71,7 +74,8 @@ class LinkerIndex:
 
 
 def _bucket(codes: np.ndarray, bits: int) -> np.ndarray:
-    """Multiply-shift hash of each code to one of 2**bits buckets (1 <= bits <= 63)."""
+    """Multiply-shift hash of each code to one of 2**bits buckets (1 <= bits <= 63); a uint32 code
+    widens to 64 bits in the product, so both code words hash alike."""
     h = codes * U64(SCREEN_MULT)
     h >>= U64(64 - bits)
     return h.view(np.int64)
@@ -98,37 +102,55 @@ def build_linker_index(
     n_slots, n_targets = len(table), len(sizes)
 
     # A read's postings depend only on its k-mer multiset, and the search
-    # below runs much faster over needles that come in sorted runs.
+    # below runs much faster over needles that come in sorted runs. In a
+    # sorted run a read's repeated k-mers follow their first copy and add no
+    # incidence, so only each read's first copy of a code is kept.
     ends = np.cumsum(sizes)
-    for lo, hi in zip((ends - sizes).tolist(), ends.tolist()):
+    starts = ends - sizes
+    for lo, hi in zip(starts.tolist(), ends.tolist()):
         codes[lo:hi].sort()
+    keep = np.empty(len(codes), dtype=bool)
+    changes(codes, out=keep[1:])
+    keep[starts[sizes > 0]] = True
 
     # Non-solid k-mers of bank reads are dropped against the exact solid table;
     # routing them through the probabilistic query instead would plant
     # false-positive read ids in the postings. A presence byte per bucket of
     # the solid codes screens most of them out first: a solid code always
     # passes, and locate still decides membership, so the screen only skips
-    # work. The bank's codes go before the dictionary is built, so the two
-    # never hold memory at the same time.
+    # work. It hashes the bank in chunks, so its 64-bit products stay
+    # chunk-sized. The bank's codes go before the dictionary is built, so the
+    # two never hold memory at the same time.
     bits = max((SCREEN_BYTES_PER_CODE * n_slots - 1).bit_length(), 1)
     present = np.zeros(1 << bits, dtype=bool)
     present[_bucket(table.codes, bits)] = True
-    at = np.flatnonzero(present[_bucket(codes, bits)])
-    loc = locate(table.codes, codes[at])
-    del codes, present
+    for lo in range(0, len(codes), SCREEN_CHUNK):
+        keep[lo : lo + SCREEN_CHUNK] &= present[_bucket(codes[lo : lo + SCREEN_CHUNK], bits)]
+    del present
+    read = np.repeat(np.arange(n_targets, dtype=np.int32), sizes)[keep]
+    codes = codes[keep]
+    del keep
+    loc = locate(table.codes, codes)
+    del codes
     solid = loc >= 0
-    at, loc = at[solid], loc[solid]
+    loc = loc[solid]
+    read = read[solid]
+    del solid
     slots = np.empty(n_slots, dtype=np.int64)
     qd = QuasiDictionary.create(table.codes, f=f, gamma=gamma, k=k, seed=seed, slots=slots)
-    slot = slots[loc]
-    read = np.searchsorted(ends, at, side="right")
 
-    # one incidence per (slot, read); sorted pairs group by slot, then read id
+    # one incidence per (slot, read), each distinct already; sorted, they group by slot, then read id
     tb = (n_targets - 1).bit_length()
-    pairs = distinct(slot << tb | read)[0]
+    key = slots[loc]
+    del slots, loc
+    key <<= tb
+    key |= read
+    del read
+    key.sort()
     offsets = np.zeros(n_slots + 1, dtype=np.int64)
-    np.cumsum(np.bincount(pairs >> tb, minlength=n_slots), out=offsets[1:])
-    return LinkerIndex(qd, offsets, (pairs & (1 << tb) - 1).astype(np.int32), k, n_targets)
+    np.cumsum(np.bincount(key >> tb, minlength=n_slots), out=offsets[1:])
+    key &= (1 << tb) - 1
+    return LinkerIndex(qd, offsets, key.astype(np.int32), k, n_targets)
 
 
 def link_read(

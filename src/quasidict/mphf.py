@@ -23,7 +23,7 @@ import struct
 import numpy as np
 
 from .bitrank import RankBitVector
-from .bits import DEFAULT_SEED, U64, check_room, derive_seed, key_array, locate, mix64
+from .bits import DEFAULT_SEED, U64, changes, check_room, derive_seed, key_array, locate, mix64
 
 NOT_FOUND = -1
 MAX_LEVELS = 64
@@ -51,7 +51,7 @@ class DuplicateKeyError(ValueError):
 
 def _check_distinct(sorted_keys: np.ndarray) -> None:
     """DuplicateKeyError naming the smallest key that ``sorted_keys`` repeats, if any."""
-    dup = np.flatnonzero(sorted_keys[1:] == sorted_keys[:-1])
+    dup = np.flatnonzero(~changes(sorted_keys))
     if len(dup):
         raise DuplicateKeyError(int(sorted_keys[dup[0]]))
 
@@ -62,8 +62,11 @@ def _level_size(gamma: float, n: int) -> int:
 
 def _level_pos(keys: np.ndarray, level_seed: int, n_bits: int) -> np.ndarray:
     """Each key's position in a level of ``n_bits`` slots hashed with ``level_seed``."""
+    # h - (h // n) * n, in place: numpy's uint64 % by a scalar is about three times as slow
     pos = mix64(keys ^ U64(level_seed))
-    pos %= U64(n_bits)
+    whole = pos // U64(n_bits)
+    whole *= U64(n_bits)
+    pos -= whole
     return pos.view(np.int64)
 
 

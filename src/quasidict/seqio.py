@@ -75,7 +75,7 @@ def _read_fasta(path: str, fh) -> Iterator[ReadRecord]:
     chunks: list[str] = []
     # the sentinel header after the last line emits the last record
     for lineno, line in enumerate(chain(fh, [">"]), start=1):
-        line = line.rstrip("\n").rstrip("\r")
+        line = line.rstrip("\n")
         if line.startswith(">"):
             if header is not None:
                 seq = "".join(chunks)
@@ -94,7 +94,7 @@ def _read_fasta(path: str, fh) -> Iterator[ReadRecord]:
 
 
 def _read_fastq(path: str, fh) -> Iterator[ReadRecord]:
-    lines = (line.rstrip("\n").rstrip("\r") for line in fh)
+    lines = (line.rstrip("\n") for line in fh)
     # four lines per record; a short last record is padded with None
     for rid, (head, seq, plus, qual) in enumerate(zip_longest(lines, lines, lines, lines)):
         lineno = 4 * rid + 1

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from quasidict.kcount import SolidKmerTable, count_solid
+from quasidict.kcount import SolidKmerTable, count_solid, scan_reads
 from quasidict.kmer import canonical, encode
 from quasidict.seqio import ReadRecord
 
@@ -156,3 +156,23 @@ def test_load_accepts_extreme_valid_table(tmp_path):
     _table([0, 4**31 - 1], [255, 255], k=31, t=255).dump(path)
     back = SolidKmerTable.load(path)
     assert back.codes.tolist() == [0, 4**31 - 1] and (back.k, back.t) == (31, 255)
+
+
+@pytest.mark.parametrize("k", [1, 15, 16, 17, 31])
+@pytest.mark.parametrize("seqs", [(), ("N" * 34, "N-N")], ids=["empty", "no-window"])
+def test_scan_reads_keeps_the_code_word_without_codes(seqs, k):
+    codes, sizes = scan_reads(reads_of(*seqs), k)
+    assert len(codes) == 0 and sizes.tolist() == [0] * len(seqs)
+    assert codes.dtype == (np.uint32 if k <= 16 else np.uint64)
+
+
+@pytest.mark.parametrize("k", [1, 16, 17, 31])
+def test_load_returns_the_word_of_count_solid(tmp_path, k):
+    rng = np.random.default_rng(k)
+    table = count_solid(reads_of(*("".join(rng.choice(list("ACGT"), size=60)) for _ in range(20))), k=k, t=1)
+    path = str(tmp_path / "table.skmt")
+    table.dump(path)
+    back = SolidKmerTable.load(path)
+    assert table.codes.dtype == back.codes.dtype == (np.uint32 if k <= 16 else np.uint64)
+    assert back.codes.tolist() == table.codes.tolist()
+    assert back.codes.flags.writeable

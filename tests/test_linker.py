@@ -3,6 +3,7 @@
 import io
 import os
 import tempfile
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -14,6 +15,7 @@ from quasidict import kcount, kmer, linker, seqio
 from quasidict.bits import locate
 from quasidict.cli import main
 from quasidict.core import QuasiDictionary
+from quasidict.evaluation import SimConfig, simulate
 from quasidict.kmer import canonical, encode
 from quasidict.kmer import scan_kmers
 from quasidict.linker import MatchResult, build_linker_index, format_link_line, link_read, run_linker
@@ -126,6 +128,33 @@ def test_postings_stay_exact_even_at_tiny_f(tmp_path):
         assert got == want
 
 
+@pytest.mark.parametrize("bank, bound", [("15% error", 14), ("error-free, 10x", 30)])
+def test_build_peak_per_bank_kmer(tmp_path, bank, bound):
+    """Traced peak bytes of the k = 15 build per bank k-mer. Bank codes take 4 bytes each, and no
+    screen or incidence step holds a bank-sized 64-bit array: 11.4 and 21.8 here, against 19.5 and
+    85.4 when the codes were widened to 64 bits and the build kept its dead incidence arrays."""
+    path = str(tmp_path / "bank.fa")
+    if bank == "15% error":
+        simulate(SimConfig(20_000, 3, 2000, 50, 0.15, 500, rng_seed=1), path)
+    else:
+        rng = np.random.default_rng(1)
+        write_fasta(path, reads_from_genome(rng, random_genome(rng, 20_000), 2000, 100))
+    n_kmers = int(kcount.scan_reads(seqio.open_reads(path), 15)[1].sum())
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        build_linker_index(path, k=15)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert n_kmers > 150_000
+    assert peak <= bound * n_kmers, f"{peak / n_kmers:.1f} bytes per bank k-mer"
+
+
 def test_build_scans_the_bank_once(tmp_path, monkeypatch):
     rng = np.random.default_rng(6)
     seqs = reads_from_genome(rng, random_genome(rng, 200), 7, 40)
@@ -166,7 +195,9 @@ def test_screen_never_decides_membership(tmp_path, monkeypatch):
     seqs = reads_from_genome(rng, random_genome(rng, 2000), 80, 60)
     seqs += [random_genome(rng, 60) for _ in range(40)]
     bank = write_fasta(tmp_path / "b.fa", seqs)
-    n_kmers = sum(len(s) - 9 + 1 for s in seqs)
+    # each read's distinct k-mers: a read's repeats of a k-mer never reach locate
+    n_kmers = sum(len(kmer_set(s, 9)) for s in seqs)
+    assert n_kmers < sum(len(s) - 9 + 1 for s in seqs)
     located = []
 
     def recording(table, x):

@@ -5,6 +5,7 @@ import pytest
 
 from quasidict import mphf
 from quasidict.bitrank import RankBitVector
+from quasidict.bits import U64, mix64
 from quasidict.mphf import NOT_FOUND, DuplicateKeyError, Mphf
 
 from conftest import distinct_draw
@@ -190,3 +191,18 @@ def test_empty_key_set():
     assert m.n_keys == 0
     assert m.lookup(123) == NOT_FOUND
     assert (m.lookup_array(np.array([1, 2, 3], dtype=np.uint64)) == NOT_FOUND).all()
+
+
+@pytest.mark.parametrize("n_bits", [1, 2, 2**32 - 1, 2**32, 2**32 + 1, 2**63 + 1])
+@pytest.mark.parametrize("mix", [mix64, np.copy], ids=["mix64", "identity"])
+def test_level_pos_is_the_hash_modulo_the_level_size(monkeypatch, n_bits, mix):
+    # with the identity as the mixer and seed 0, the hashes include 0 and 2^64 - 1 themselves
+    monkeypatch.setattr(mphf, "mix64", mix)
+    rng = np.random.default_rng(n_bits % 1000)
+    drawn = rng.integers(0, 2**64 - 1, size=5000, dtype=np.uint64, endpoint=True)
+    keys = np.concatenate([drawn, np.array([0, 1, 2**63, 2**64 - 1], dtype=np.uint64)])
+    for seed in (0, 0x9E3779B97F4A7C15):
+        want = mix(keys ^ U64(seed)) % U64(n_bits)
+        got = mphf._level_pos(keys, seed, n_bits)
+        assert got.dtype == np.int64
+        assert (got.view(np.uint64) == want).all()

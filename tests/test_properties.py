@@ -310,9 +310,10 @@ def doubling_tail_examples(test):
 @example(seq="", k=1)
 @example(seq="ACGTACGTAC", k=MAX_K)  # shorter than k
 @example(seq="T" * MAX_K + "GN" + "a" * MAX_K, k=MAX_K)  # extreme codes on both strands
+@example(seq="G" * 15 + "C", k=16)  # canonical 0x95555555: the top bit of the 32-bit word
 def test_scan_kmers_matches_string_oracle(seq, k):
     positions, codes = scan_kmers(seq, k)
-    assert positions.dtype == np.int64 and codes.dtype == np.uint64
+    assert positions.dtype == np.int64 and codes.dtype == (np.uint32 if k <= 16 else np.uint64)
     want = window_oracle(seq, k)
     assert list(zip(positions.tolist(), codes.tolist())) == want
     assert list(iter_kmers(seq, k)) == want
@@ -352,6 +353,7 @@ def test_count_solid_matches_counter(seqs, copies, k, t):
 )
 @example(seqs=[], k=4, t=1, f=8)  # empty bank
 @example(seqs=["ACGTTG", "NNNNN"], k=4, t=2, f=8)  # no solid k-mer
+@example(seqs=["AAAAAAAA", "AC", "TTTTTTTT", "AAAAAAAAA"], k=5, t=1, f=8)  # repeats within and across reads
 def test_linker_postings_match_containment(seqs, k, t, f):
     with tempfile.TemporaryDirectory() as tmp:
         bank = os.path.join(tmp, "bank.fa")
