@@ -22,7 +22,7 @@ import numpy as np
 
 from .bits import DEFAULT_SEED, MIX_MULT_1, MIX_MULT_2, U64, check_room, key_array, mix64
 from .kmer import check_k
-from .mphf import NOT_FOUND, Mphf
+from .mphf import CHUNK, NOT_FOUND, Mphf
 
 _MAGIC = b"QDIC"
 _VERSION = 1
@@ -67,19 +67,23 @@ def fingerprint_array(keys: np.ndarray, f: int, k: int = 31, seed: int = DEFAULT
 def _pack_entries(values: np.ndarray, f: int) -> np.ndarray:
     """Pack entries below 2**f contiguously into uint64 words (N*f bits total).
 
-    The inverse of :meth:`QuasiDictionary._stored_fingerprints`. Entries start
-    in non-decreasing words and at most one straddles into any word, so one
-    ``reduceat`` places the low parts and one plain OR the straddling high parts.
+    The inverse of :meth:`QuasiDictionary._stored_fingerprints`. Packed CHUNK
+    entries at a time; CHUNK is a multiple of 64, so each chunk starts and
+    every chunk but the last ends on a word boundary. Within a chunk, entries
+    start in non-decreasing words and at most one straddles into any word, so
+    one ``reduceat`` places the low parts and one plain OR the straddling high parts.
     """
-    n = len(values)
-    words = np.zeros((n * f + 63) // 64, dtype=np.uint64)
-    bitpos = np.arange(n, dtype=np.uint64) * U64(f)
-    wi = (bitpos >> U64(6)).astype(np.int64)
-    off = bitpos & U64(63)
-    firsts = np.flatnonzero(np.diff(wi, prepend=-1))
-    words[wi[firsts]] = np.bitwise_or.reduceat(values << off, firsts)
-    straddle = np.flatnonzero(off > U64(64 - f))
-    words[wi[straddle] + 1] |= values[straddle] >> (U64(64) - off[straddle])
+    words = np.zeros((len(values) * f + 63) // 64, dtype=np.uint64)
+    for lo in range(0, len(values), CHUNK):
+        part = values[lo : lo + CHUNK]
+        bitpos = np.arange(len(part), dtype=np.uint64) * U64(f)
+        wi = (bitpos >> U64(6)).astype(np.int64)
+        wi += lo * f // 64
+        off = bitpos & U64(63)
+        firsts = np.flatnonzero(np.diff(wi, prepend=-1))
+        words[wi[firsts]] = np.bitwise_or.reduceat(part << off, firsts)
+        straddle = np.flatnonzero(off > U64(64 - f))
+        words[wi[straddle] + 1] |= part[straddle] >> (U64(64) - off[straddle])
     return words
 
 
@@ -115,7 +119,8 @@ class QuasiDictionary:
         slots = np.empty(len(keys), dtype=np.int64) if slots is None else slots
         mphf = Mphf.construct(keys, gamma=gamma, seed=seed, slots=slots)
         by_slot = np.empty(len(keys), dtype=np.uint64)
-        by_slot[slots] = fingerprint_array(keys, f, k, seed)
+        for lo in range(0, len(keys), CHUNK):
+            by_slot[slots[lo : lo + CHUNK]] = fingerprint_array(keys[lo : lo + CHUNK], f, k, seed)
         return cls(mphf, _pack_entries(by_slot, f), len(keys), f, k, seed)
 
     def _stored_fingerprints(self, idx: np.ndarray) -> np.ndarray:

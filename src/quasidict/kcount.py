@@ -5,11 +5,17 @@ the read set (both strands pooled); :func:`solid_table` is the one place
 that decides it, for the counter and the linker alike. Counting is exact;
 the stored counts saturate at 255, which is applied only after the >= t
 filter so the solidity decision never saturates away (t <= 255 is enforced).
+
+:func:`count_solid` does not hold the bank: it spills the codes to an
+anonymous temporary file, cut into ranges of codes, and counts a group of
+ranges at a time (a partitioned pass after DSK, Rizk, Lavenier and Chikhi
+2013).
 """
 
 from __future__ import annotations
 
 import struct
+import tempfile
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -27,6 +33,12 @@ COUNT_CAP = 255
 # bases and separators per scanned batch of reads; sets the read tools' memory
 # and bounds the linker's query key (see linker.link_reads)
 BATCH_BASES = 2**16
+
+# the bank's spill is cut into 2^RANGE_BITS ranges of codes by their top bits
+# (all 2k bits when 2k is fewer), and consecutive ranges are counted together
+# up to GROUP_KMERS k-mers; a larger range is counted alone
+RANGE_BITS = 8
+GROUP_KMERS = 2**18
 
 
 def _check_t(t: int) -> None:
@@ -116,5 +128,52 @@ def solid_table(codes: np.ndarray, k: int, t: int) -> SolidKmerTable:
 
 
 def count_solid(reads: Iterable[ReadRecord], k: int, t: int) -> SolidKmerTable:
-    """Count canonical k-mers over a read stream and keep those seen >= t times."""
-    return solid_table(scan_reads(reads, k)[0], k, t)
+    """Count canonical k-mers over a read stream and keep those seen >= t times.
+
+    One scan sorts each batch's codes and appends them to an anonymous
+    temporary file (in TMPDIR, removed on close), noting where each range of
+    codes starts within the batch. Each group of ranges is then read back,
+    one slice per batch, into one buffer and counted on its own. Groups are
+    intervals of codes in ascending order, so their tables join into the
+    sorted table with no further sort.
+    """
+    word = code_word(k)
+    tables = [solid_table(np.empty(0, word), k, t)]  # checks k and t before the scan
+    bits = min(RANGE_BITS, 2 * k)
+    lows = np.arange(1 << bits, dtype=word) << word(2 * k - bits)  # range r holds [lows[r], lows[r + 1])
+    with tempfile.TemporaryFile() as spill:
+        edges, at = [], 0
+        for _, _, codes, _ in scan_batches(reads, k):
+            codes.sort()
+            codes.tofile(spill)
+            edges.append(np.append(np.searchsorted(codes, lows), len(codes)) + at)
+            at += len(codes)
+        # edges[i, r]: the spill offset of batch i's first code in range r; edges[i, -1]: its end
+        edges = np.array(edges, dtype=np.int64).reshape(-1, len(lows) + 1)
+        sizes = np.diff(edges, axis=1).sum(axis=0)
+        for lo, hi in _groups(sizes.tolist()):
+            group = np.empty(sizes[lo:hi].sum(), word)
+            filled = 0
+            for start, end in edges[:, [lo, hi]].tolist():
+                part = group[filled : filled + end - start]
+                spill.seek(start * group.itemsize)
+                if spill.readinto(part) != part.nbytes:
+                    raise OSError("the k-mer spill file ended early")
+                filled += len(part)
+            tables.append(solid_table(group, k, t))
+            del group
+    return SolidKmerTable(
+        np.concatenate([table.codes for table in tables]), np.concatenate([table.counts for table in tables]), k, t
+    )
+
+
+def _groups(sizes: list[int]) -> Iterator[tuple[int, int]]:
+    """Runs ``[lo, hi)`` of consecutive ranges that together hold at most GROUP_KMERS k-mers, or
+    one range that alone holds more; every range is in exactly one run."""
+    lo, total = 0, 0
+    for r, size in enumerate(sizes):
+        if r > lo and total + size > GROUP_KMERS:
+            yield lo, r
+            lo, total = r, 0
+        total += size
+    yield lo, len(sizes)

@@ -32,6 +32,11 @@ MAX_LEVELS = 64
 # than the 64-bit keys it stands for
 MAX_GAMMA = 64
 
+# keys hashed, and slots assigned, per step of construction, so that no temporary
+# grows with the key count; a multiple of 64, so that a chunk of packed f-bit
+# entries starts on a word boundary (see core._pack_entries)
+CHUNK = 2**16
+
 # below this many survivors a cascade level costs more serialized bytes than
 # exact (key, index) fallback pairs, so stop cascading early
 FALLBACK_CUTOFF = 4
@@ -54,6 +59,26 @@ def _check_distinct(sorted_keys: np.ndarray) -> None:
     dup = np.flatnonzero(~changes(sorted_keys))
     if len(dup):
         raise DuplicateKeyError(int(sorted_keys[dup[0]]))
+
+
+def _word(limit: int) -> type:
+    """uint32 when every integer below ``limit`` fits in it, else int64."""
+    return np.uint32 if limit <= 1 << 32 else np.int64
+
+
+def _singletons(pos: np.ndarray, n_bits: int) -> np.ndarray:
+    """Bool array over a level's ``n_bits`` slots: True where exactly one of ``pos`` falls."""
+    ordered = np.sort(pos)
+    step = changes(ordered)
+    single = np.ones(len(ordered), dtype=bool)
+    single[1:] &= step
+    single[:-1] &= step
+    del step
+    # every copy of a shared position writes False, so the order of writes does not matter
+    alone = np.zeros(n_bits, dtype=bool)
+    for lo in range(0, len(ordered), CHUNK):
+        alone[ordered[lo : lo + CHUNK]] = single[lo : lo + CHUNK]
+    return alone
 
 
 def _level_size(gamma: float, n: int) -> int:
@@ -103,21 +128,33 @@ class Mphf:
         slots = np.empty(n, dtype=np.int64) if slots is None else slots
 
         levels: list[RankBitVector] = []
-        remaining, index = keys, np.arange(n)
+        # the keys still unresolved, and where each sits in ``keys``; positions and
+        # indices are uint32 while they fit, that is while n < 2^31 at gamma = 2
+        remaining, index = keys, np.arange(n, dtype=_word(n))
         for level in range(MAX_LEVELS):
             if remaining.size <= FALLBACK_CUTOFF:
                 break
             size = _level_size(gamma, remaining.size)
-            pos = _level_pos(remaining, derive_seed(seed, level), size)
-            alone = np.bincount(pos, minlength=size) == 1
+            level_seed = derive_seed(seed, level)
+            pos = np.empty(remaining.size, dtype=_word(size))
+            for lo in range(0, remaining.size, CHUNK):
+                pos[lo : lo + CHUNK] = _level_pos(remaining[lo : lo + CHUNK], level_seed, size)
+            alone = _singletons(pos, size)
             bv = RankBitVector.build(alone)
-            frozen = alone[pos]
-            done, left = np.flatnonzero(frozen), np.flatnonzero(~frozen)
-            if done.size == 0:
-                _check_distinct(np.sort(remaining))
             # slot: the keys frozen at earlier levels plus the rank in this level
-            slots[index[done]] = n - remaining.size + bv.rank1_array(pos[done])
+            base = n - remaining.size
+            frozen = np.empty(remaining.size, dtype=bool)
+            for lo in range(0, remaining.size, CHUNK):
+                part = pos[lo : lo + CHUNK]
+                hit = alone[part]
+                frozen[lo : lo + CHUNK] = hit
+                done = np.flatnonzero(hit)
+                slots[index[lo : lo + CHUNK][done]] = base + bv.rank1_array(part[done])
+            del pos, alone
+            if not frozen.any():
+                _check_distinct(np.sort(remaining))
             levels.append(bv)
+            left = np.flatnonzero(~frozen)
             remaining, index = remaining[left], index[left]
 
         order = np.argsort(remaining)

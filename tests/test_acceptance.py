@@ -7,6 +7,7 @@ in plain lists. Criterion data sets are frozen by seed.
 
 import time
 from itertools import cycle
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -353,9 +354,9 @@ def test_c09_cli_determinism(tmp_path, capsys):
         for tag, thr in (("1", "1"), ("2", "8"), ("3", "1")):
             assert run(tag, thr) == 0
         if name == "sim":
-            blobs = [open(of(f"s{t}.fa"), "rb").read() + open(of(f"s{t}.tsv"), "rb").read() for t in "123"]
+            blobs = [Path(of(f"s{t}.fa")).read_bytes() + Path(of(f"s{t}.tsv")).read_bytes() for t in "123"]
         else:
-            blobs = [open(of(f"{name[0]}{t}"), "rb").read() for t in "123"]
+            blobs = [Path(of(f"{name[0]}{t}")).read_bytes() for t in "123"]
         identical &= blobs[0] == blobs[1] == blobs[2]
 
     # score: deterministic stdout

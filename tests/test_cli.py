@@ -4,6 +4,7 @@ import gzip
 import os
 import subprocess
 import sys
+import tempfile
 from importlib.metadata import EntryPoint, entry_points
 from pathlib import Path
 
@@ -44,7 +45,7 @@ def test_counter_end_to_end(small_data):
         ["counter", "-b", small_data["bank"], "-q", small_data["fof"], "-o", out, "-k", "11", "-t", "1"]
     )
     assert rc == 0
-    lines = open(out).read().splitlines()
+    lines = Path(out).read_text().splitlines()
     assert len(lines) == 20
     assert all(line.split("\t")[0] == str(i) for i, line in enumerate(lines))
 
@@ -56,7 +57,7 @@ def test_linker_end_to_end(small_data):
          "-k", "11", "-t", "1", "-s", "1"]
     )
     assert rc == 0
-    assert len(open(out).read().splitlines()) == 20
+    assert len(Path(out).read_text().splitlines()) == 20
 
 
 def test_alias_entry_points(small_data, capsys):
@@ -152,7 +153,7 @@ def test_missing_input_is_drawn_as_one_line_error(tmp_path, capsys):
 
 def test_gzipped_read_sets_give_the_plain_output(small_data):
     d = small_data["dir"]
-    query = open(small_data["fof"]).read().strip()
+    query = Path(small_data["fof"]).read_text().strip()
     for path in (small_data["bank"], query):
         Path(path + ".gz").write_bytes(gzip.compress(Path(path).read_bytes()))
     (d / "gz.fof").write_text(query + ".gz\n")
@@ -194,6 +195,42 @@ def test_failed_run_leaves_no_partial_output(small_data, capsys, command, existi
     assert sorted(p.name for p in d.iterdir()) == before  # nothing created, no temporary file left
     if existing is not None:
         assert out.read_bytes() == existing
+
+
+@pytest.mark.parametrize("failure", ["bad record", "no temporary directory"])
+def test_spill_failure_is_a_one_line_error(small_data, capsys, monkeypatch, failure):
+    """The counter spills the bank's k-mers to an anonymous file in the temporary directory. A bank
+    that fails after several batches, or a temporary directory that does not exist, ends in one
+    error line, no output file, a closed spill and nothing left in the temporary directory."""
+    d = small_data["dir"]
+    spill_dir = d / "tmp"
+    spill_dir.mkdir()
+    if failure == "bad record":
+        rng = np.random.default_rng(8)
+        bank = Path(write_fasta(d / "bad.fa", reads_from_genome(rng, random_genome(rng, 2000), 2000, 100)))
+        with bank.open("a") as fh:
+            fh.write(">empty\n>r\nACGT\n")
+        monkeypatch.setattr(tempfile, "tempdir", str(spill_dir))
+        message = f"{bank}:4001: record has empty sequence"
+    else:
+        bank = Path(small_data["bank"])
+        monkeypatch.setattr(tempfile, "tempdir", str(d / "missing"))
+        message = "No such file or directory"
+    spills, make_spill = [], tempfile.TemporaryFile
+
+    def recorded(*args, **kwargs):
+        spills.append(make_spill(*args, **kwargs))
+        return spills[-1]
+
+    monkeypatch.setattr(tempfile, "TemporaryFile", recorded)
+    before = sorted(p.name for p in d.iterdir())
+    argv = ["counter", "-b", str(bank), "-q", small_data["fof"], "-o", str(d / "out.tsv"), "-k", "11", "-t", "1"]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("qd counter: error: ") and err.count("\n") == 1 and message in err
+    assert sorted(p.name for p in d.iterdir()) == before
+    assert list(spill_dir.iterdir()) == []
+    assert len(spills) == (failure == "bad record") and all(spill.closed for spill in spills)
 
 
 @pytest.mark.parametrize("exc, message", [
@@ -435,5 +472,5 @@ def test_cli_deterministic_across_runs_and_threads(small_data):
     for name, threads in (("a", "1"), ("b", "8"), ("c", "1")):
         out = str(small_data["dir"] / f"det_{name}.tsv")
         assert main(["counter", *args, "-o", out, "--threads", threads]) == 0
-        outs.append(open(out, "rb").read())
+        outs.append(Path(out).read_bytes())
     assert outs[0] == outs[1] == outs[2]

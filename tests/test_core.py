@@ -3,10 +3,13 @@ exact mode at f = 2k, packed fingerprint accounting, pinned index bytes."""
 
 import hashlib
 import struct
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from quasidict import core, mphf
 from quasidict.bits import DEFAULT_SEED
 from quasidict.core import (
     NOT_FOUND,
@@ -221,7 +224,45 @@ def test_save_load_file(tmp_path):
     qd.save(path)
     back = QuasiDictionary.load(path)
     assert (back.query_array(keys) == qd.query_array(keys)).all()
-    assert open(path, "rb").read(4) == b"QDIC"
+    assert Path(path).read_bytes()[:4] == b"QDIC"
+
+
+@pytest.mark.parametrize("chunk", [64, 192])
+def test_chunks_are_invisible(monkeypatch, chunk):
+    """create hashes, assigns slots, fingerprints and packs in chunks: a smaller chunk
+    constant changes neither a key's slot nor a byte of the index."""
+    cases = []
+    for n in (0, 1, 5, 63, 64, 65, 1000, 5000):
+        keys = distinct_codes(n, seed=40 + n)
+        for f, gamma in ((1, 2.0), (12, 2.0), (33, 1.0), (62, 2.0), (64, 3.5)):
+            slots = np.empty(n, dtype=np.int64)
+            blob = QuasiDictionary.create(keys, f=f, gamma=gamma, slots=slots).serialize()
+            cases.append((keys, f, gamma, slots, blob))
+    monkeypatch.setattr(mphf, "CHUNK", chunk)
+    monkeypatch.setattr(core, "CHUNK", chunk)
+    for keys, f, gamma, slots, blob in cases:
+        got = np.empty(len(keys), dtype=np.int64)
+        assert QuasiDictionary.create(keys, f=f, gamma=gamma, slots=got).serialize() == blob
+        assert got.tolist() == slots.tolist()
+
+
+def test_create_peak_per_key():
+    """Traced peak bytes of create per key, the keys allocated before tracing: the int64 slots,
+    uint32 positions and survivor indices, byte masks and chunk-sized temporaries. Full-size
+    int64 positions, bincounts and fingerprint temporaries took 60."""
+    keys = distinct_codes(1_000_000, seed=16)
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        QuasiDictionary.create(keys, f=12)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak <= 32 * len(keys), f"{peak / len(keys):.1f} bytes per key"
 
 
 def test_create_empty():

@@ -1,11 +1,15 @@
 """Solid-k-mer counting against a naive dictionary recount."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from conftest import random_genome, reads_from_genome, write_fasta
 
-from quasidict.kcount import SolidKmerTable, count_solid, scan_reads
+from quasidict import kcount
+from quasidict.kcount import BATCH_BASES, SolidKmerTable, count_solid, scan_reads, solid_table
 from quasidict.kmer import canonical, encode
-from quasidict.seqio import ReadRecord
+from quasidict.seqio import ReadRecord, open_reads
 
 
 def reads_of(*seqs):
@@ -176,3 +180,56 @@ def test_load_returns_the_word_of_count_solid(tmp_path, k):
     assert table.codes.dtype == back.codes.dtype == (np.uint32 if k <= 16 else np.uint64)
     assert back.codes.tolist() == table.codes.tolist()
     assert back.codes.flags.writeable
+
+
+def _banks(k):
+    rng = np.random.default_rng(k)
+    genome = random_genome(rng, 3000)
+    sampled = reads_from_genome(rng, genome, 3 * BATCH_BASES // 100, 99)  # several batches
+    return {
+        "empty": [],
+        "no window": ["N" * 40, "ACGTN" * 8],
+        "sampled": sampled,
+        # poly-A is canonical code 0: one range holds more k-mers than the default budget
+        "one range over budget": [*sampled[:50], "A" * (kcount.GROUP_KMERS + 100), "A" * 90],
+    }
+
+
+@pytest.mark.parametrize("group_kmers", [1, 3, kcount.GROUP_KMERS])
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 15, 16, 17, 31])
+def test_groups_are_invisible(monkeypatch, k, group_kmers):
+    """Whatever the group budget, the spilled count equals one table over the whole bank."""
+    monkeypatch.setattr(kcount, "GROUP_KMERS", group_kmers)
+    for name, seqs in _banks(k).items():
+        for t in (1, 2):
+            got = count_solid(reads_of(*seqs), k, t)
+            want = solid_table(scan_reads(reads_of(*seqs), k)[0], k, t)
+            assert got.codes.dtype == want.codes.dtype, name
+            assert got.codes.tolist() == want.codes.tolist(), name
+            assert got.counts.tolist() == want.counts.tolist(), name
+            assert (got.k, got.t) == (k, t)
+
+
+def test_count_does_not_hold_the_bank(tmp_path):
+    """The traced peak of count_solid grows by at most about one byte per added bank k-mer: the bank
+    is spilled, and only one group of ranges is in memory. Holding the bank cost about 22 bytes."""
+    rng = np.random.default_rng(7)
+    genome = random_genome(rng, 50_000)
+    peaks, sizes = [], []
+    for n_reads in (5_000, 20_000):  # about 10x and 40x: the solid set is the genome's either way
+        path = write_fasta(tmp_path / f"bank{n_reads}.fa", reads_from_genome(rng, genome, n_reads, 100))
+        sizes.append(n_reads * (100 - 31 + 1))
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            count_solid(open_reads(path), 31, 2)
+            peaks.append(tracemalloc.get_traced_memory()[1] - before)
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+    assert sizes[0] > kcount.GROUP_KMERS  # both banks are counted in several groups
+    growth = (peaks[1] - peaks[0]) / (sizes[1] - sizes[0])
+    assert growth <= 1.0, f"{growth:.2f} bytes per added bank k-mer"
