@@ -18,6 +18,7 @@ batches of at most kcount.BATCH_BASES bases), so results never depend on it.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import os
 import sys
 import time
@@ -274,6 +275,13 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     _check_ranges(parser, args)
+    # Have glibc keep freed heap for reuse, as it does by itself once it has freed a 32 MiB block: the
+    # spilled builds free no block that large, so each query batch would fault its scratch back in.
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None) if os.name == "posix" else None
+    if mallopt is not None:
+        mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+        mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD, at the ceiling of glibc's own dynamic threshold
+        mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD, twice it, as glibc's dynamic rule sets it
     try:
         return _DISPATCH[args.command](args)
     except (OSError, ValueError, MemoryError) as exc:

@@ -6,16 +6,17 @@ that decides it, for the counter and the linker alike. Counting is exact;
 the stored counts saturate at 255, which is applied only after the >= t
 filter so the solidity decision never saturates away (t <= 255 is enforced).
 
-:func:`count_solid` does not hold the bank: it spills the codes to an
-anonymous temporary file, cut into ranges of codes, and counts a group of
-ranges at a time (a partitioned pass after DSK, Rizk, Lavenier and Chikhi
-2013).
+Neither read tool holds the bank: :func:`spill_groups` spills each batch's
+codes (and the linker's read ids) cut into ranges of codes, and reads back
+a group of ranges at a time, which :func:`count_solid` counts on its own (a
+partitioned pass after DSK, Rizk, Lavenier and Chikhi 2013).
 """
 
 from __future__ import annotations
 
 import struct
 import tempfile
+from contextlib import ExitStack
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -35,10 +36,10 @@ COUNT_CAP = 255
 BATCH_BASES = 2**16
 
 # the bank's spill is cut into 2^RANGE_BITS ranges of codes by their top bits
-# (all 2k bits when 2k is fewer), and consecutive ranges are counted together
-# up to GROUP_KMERS k-mers; a larger range is counted alone
+# (all 2k bits when 2k is fewer), and consecutive ranges are read back together
+# up to GROUP_KMERS k-mers (as many as BATCH_BASES); a larger range comes alone
 RANGE_BITS = 8
-GROUP_KMERS = 2**18
+GROUP_KMERS = 2**16
 
 
 def _check_t(t: int) -> None:
@@ -112,13 +113,6 @@ def _scan_batch(batch: list[ReadRecord], k: int) -> tuple:
     return batch, positions, codes, sizes
 
 
-def scan_reads(reads: Iterable[ReadRecord], k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Every read's canonical codes concatenated in read order, in ``code_word(k)``, and k-mers per read."""
-    parts = [(np.empty(0, code_word(k)), np.empty(0, np.int64))]
-    parts += [(codes, sizes) for _, _, codes, sizes in scan_batches(reads, k)]
-    return tuple(np.concatenate(part) for part in zip(*parts))
-
-
 def solid_table(codes: np.ndarray, k: int, t: int) -> SolidKmerTable:
     """Distinct codes occurring at least t times in ``codes``, with capped counts."""
     check_k(k)
@@ -128,43 +122,52 @@ def solid_table(codes: np.ndarray, k: int, t: int) -> SolidKmerTable:
 
 
 def count_solid(reads: Iterable[ReadRecord], k: int, t: int) -> SolidKmerTable:
-    """Count canonical k-mers over a read stream and keep those seen >= t times.
-
-    One scan sorts each batch's codes and appends them to an anonymous
-    temporary file (in TMPDIR, removed on close), noting where each range of
-    codes starts within the batch. Each group of ranges is then read back,
-    one slice per batch, into one buffer and counted on its own. Groups are
-    intervals of codes in ascending order, so their tables join into the
-    sorted table with no further sort.
-    """
+    """Count canonical k-mers over a read stream and keep those seen >= t times, one spilled group
+    at a time (:func:`spill_groups`); the group tables join into the sorted table with no sort."""
     word = code_word(k)
     tables = [solid_table(np.empty(0, word), k, t)]  # checks k and t before the scan
+    batches = ((codes,) for _, _, codes, _ in scan_batches(reads, k))
+    tables += [solid_table(codes, k, t) for codes, in spill_groups(batches, k, (word,))]
+    codes, counts = zip(*((table.codes, table.counts) for table in tables))
+    return SolidKmerTable(np.concatenate(codes), np.concatenate(counts), k, t)
+
+
+def spill_groups(batches: Iterable[tuple], k: int, words: tuple) -> Iterator[list[np.ndarray]]:
+    """The columns of the bank's batches, spilled, then read back one group of code ranges at a time.
+
+    A batch is a tuple of equal-length columns in ``words``, codes first (the linker adds read ids),
+    cut into ranges by a stable partition on the codes' top min(RANGE_BITS, 2k) bits; each column
+    goes to its own anonymous temporary file (in TMPDIR, freed on close). Groups are read back one
+    slice per batch and column, in ascending code intervals: a code's rows are all in one group.
+    """
     bits = min(RANGE_BITS, 2 * k)
-    lows = np.arange(1 << bits, dtype=word) << word(2 * k - bits)  # range r holds [lows[r], lows[r + 1])
-    with tempfile.TemporaryFile() as spill:
+    shift = words[0](2 * k - bits)
+    lows = np.arange(1 << bits, dtype=words[0]) << shift  # range r holds [lows[r], lows[r + 1])
+    with ExitStack() as stack:
+        spills = [stack.enter_context(tempfile.TemporaryFile()) for _ in words]
         edges, at = [], 0
-        for _, _, codes, _ in scan_batches(reads, k):
-            codes.sort()
-            codes.tofile(spill)
-            edges.append(np.append(np.searchsorted(codes, lows), len(codes)) + at)
-            at += len(codes)
-        # edges[i, r]: the spill offset of batch i's first code in range r; edges[i, -1]: its end
+        for columns in batches:
+            order = np.argsort((columns[0] >> shift).astype(np.uint8), kind="stable")  # a radix sort on one byte
+            columns = [column[order] for column in columns]
+            for column, spill in zip(columns, spills):
+                column.tofile(spill)
+            # partitioned codes ascend by range, which is all a search for a range's lowest code compares
+            edges.append(np.append(np.searchsorted(columns[0], lows), len(order)) + at)
+            at += len(order)
+            del order, columns
+        # edges[i, r]: the spill row of batch i's first code in range r; edges[i, -1]: its end
         edges = np.array(edges, dtype=np.int64).reshape(-1, len(lows) + 1)
         sizes = np.diff(edges, axis=1).sum(axis=0)
         for lo, hi in _groups(sizes.tolist()):
-            group = np.empty(sizes[lo:hi].sum(), word)
-            filled = 0
+            group, filled = [np.empty(sizes[lo:hi].sum(), word) for word in words], 0
             for start, end in edges[:, [lo, hi]].tolist():
-                part = group[filled : filled + end - start]
-                spill.seek(start * group.itemsize)
-                if spill.readinto(part) != part.nbytes:
-                    raise OSError("the k-mer spill file ended early")
-                filled += len(part)
-            tables.append(solid_table(group, k, t))
-            del group
-    return SolidKmerTable(
-        np.concatenate([table.codes for table in tables]), np.concatenate([table.counts for table in tables]), k, t
-    )
+                for column, spill in zip(group, spills):
+                    part = column[filled : filled + end - start]
+                    spill.seek(start * column.itemsize)
+                    if spill.readinto(part) != part.nbytes:
+                        raise OSError("the k-mer spill file ended early")
+                filled += end - start
+            yield group
 
 
 def _groups(sizes: list[int]) -> Iterator[tuple[int, int]]:

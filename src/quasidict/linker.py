@@ -2,18 +2,17 @@
 
 Indexing scans the bank once and stores, per solid k-mer, the sorted
 duplicate-free list of bank read ids containing it (posting lists, one
-flat array plus offsets, cut from the distinct (slot, read) pairs). A
-bank k-mer enters a posting list only when the exact sorted solid table
-holds it (``locate``); a one-byte presence table over hashed buckets of
-the solid codes screens out most of the others before that search. A
-solid code always passes the screen, so the postings stay exact: the
-screen only skips work, ``locate`` decides membership. For a
-query read, every position covered by at least one k-mer shared with a
-given target contributes 1 to that target's score; optionally the score
-is the best window of a fixed width w instead of the whole read. Targets
-reach the output only when they share at least ``threshold`` k-mer
-positions with the query, which suppresses one-off coincidental matches.
-The measure is intentionally asymmetric between query and target.
+flat array plus offsets). The scan spills each bank k-mer's code and read
+id (``kcount.spill_groups``); in each group of code ranges, sorted by code,
+each solid code's run of read ids, sorted and made distinct, is its posting
+list. A non-solid k-mer never enters one, so the postings are exact
+whatever the fingerprint width. For a query read, every position covered
+by at least one k-mer shared with a given target contributes 1 to that
+target's score; optionally the score is the best window of a fixed width w
+instead of the whole read. Targets reach the output only when they share
+at least ``threshold`` k-mer positions with the query, which suppresses
+one-off coincidental matches. The measure is intentionally asymmetric
+between query and target.
 """
 
 from __future__ import annotations
@@ -24,26 +23,16 @@ from typing import Iterable, Iterator, Optional, TextIO
 
 import numpy as np
 
-from .bits import DEFAULT_SEED, U64, changes, locate
+from .bits import DEFAULT_SEED, changes
 from .core import QuasiDictionary
-from .kcount import scan_batches, scan_reads, solid_table
-from .kmer import scan_kmers  # noqa: F401 (bench/tests checks that the tracer wraps this binding)
+from .kcount import scan_batches, solid_table, spill_groups
+from .kmer import code_word, scan_kmers  # noqa: F401 (bench/tests checks that the tracer wraps scan_kmers here)
 from .seqio import ReadRecord, open_reads
 
 DEFAULT_LINK_THRESHOLD = 10
 
 # bank read ids are stored as int32
 MAX_BANK_READS = 2**31 - 1
-
-# the bank screen has the next power of two at or above this many one-byte
-# buckets per solid code, so it is at most twice the size of the solid codes
-SCREEN_BYTES_PER_CODE = 8
-
-# odd multiplier of the screen's multiply-shift hash: 2^64 over the golden ratio
-SCREEN_MULT = 0x9E3779B97F4A7C15
-
-# bank codes hashed per step of the screen
-SCREEN_CHUNK = 2**16
 
 
 @dataclass
@@ -73,12 +62,9 @@ class LinkerIndex:
         return len(self.ids) / self.qd.n_keys
 
 
-def _bucket(codes: np.ndarray, bits: int) -> np.ndarray:
-    """Multiply-shift hash of each code to one of 2**bits buckets (1 <= bits <= 63); a uint32 code
-    widens to 64 bits in the product, so both code words hash alike."""
-    h = codes * U64(SCREEN_MULT)
-    h >>= U64(64 - bits)
-    return h.view(np.int64)
+def _runs(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """The indices of the runs ``[starts[i], starts[i] + lens[i])``, one run after another."""
+    return np.arange(lens.sum()) + np.repeat(starts - np.cumsum(lens) + lens, lens)
 
 
 def _clamp(x: np.ndarray, lo, hi) -> np.ndarray:
@@ -95,62 +81,47 @@ def build_linker_index(
     seed: int = DEFAULT_SEED,
 ) -> LinkerIndex:
     """Index the bank: slot -> ids of bank reads containing that solid k-mer."""
-    codes, sizes = scan_reads(open_reads(bank_path), k)
-    if len(sizes) > MAX_BANK_READS:
-        raise ValueError(f"bank holds {len(sizes)} reads; read ids are int32, so at most {MAX_BANK_READS}")
-    table = solid_table(codes, k, t)
-    n_slots, n_targets = len(table), len(sizes)
+    n_targets = 0
 
-    # A read's postings depend only on its k-mer multiset, and the search
-    # below runs much faster over needles that come in sorted runs. In a
-    # sorted run a read's repeated k-mers follow their first copy and add no
-    # incidence, so only each read's first copy of a code is kept.
-    ends = np.cumsum(sizes)
-    starts = ends - sizes
-    for lo, hi in zip(starts.tolist(), ends.tolist()):
-        codes[lo:hi].sort()
-    keep = np.empty(len(codes), dtype=bool)
-    changes(codes, out=keep[1:])
-    keep[starts[sizes > 0]] = True
+    def batches():
+        nonlocal n_targets
+        for batch, _, codes, sizes in scan_batches(open_reads(bank_path), k):
+            first, n_targets = n_targets, n_targets + len(batch)
+            if n_targets > MAX_BANK_READS:
+                raise ValueError(f"bank holds more than {MAX_BANK_READS} reads; read ids are int32")
+            yield codes, np.repeat(np.arange(first, n_targets, dtype=np.int32), sizes)
 
-    # Non-solid k-mers of bank reads are dropped against the exact solid table;
-    # routing them through the probabilistic query instead would plant
-    # false-positive read ids in the postings. A presence byte per bucket of
-    # the solid codes screens most of them out first: a solid code always
-    # passes, and locate still decides membership, so the screen only skips
-    # work. It hashes the bank in chunks, so its 64-bit products stay
-    # chunk-sized. The bank's codes go before the dictionary is built, so the
-    # two never hold memory at the same time.
-    bits = max((SCREEN_BYTES_PER_CODE * n_slots - 1).bit_length(), 1)
-    present = np.zeros(1 << bits, dtype=bool)
-    present[_bucket(table.codes, bits)] = True
-    for lo in range(0, len(codes), SCREEN_CHUNK):
-        keep[lo : lo + SCREEN_CHUNK] &= present[_bucket(codes[lo : lo + SCREEN_CHUNK], bits)]
-    del present
-    read = np.repeat(np.arange(n_targets, dtype=np.int32), sizes)[keep]
-    codes = codes[keep]
-    del keep
-    loc = locate(table.codes, codes)
-    del codes
-    solid = loc >= 0
-    loc = loc[solid]
-    read = read[solid]
+    solid_table(np.empty(0, code_word(k)), k, t)  # checks k and t before the scan
+    solid, lens, ids = [], [], []  # per group: its solid codes, their posting lengths, their posting lists
+    for codes, reads in spill_groups(batches(), k, (code_word(k), np.int32)):
+        order = np.argsort(codes)
+        codes = codes[order]
+        solid.append(solid_table(codes, k, t).codes)
+        start = np.searchsorted(codes, solid[-1])
+        size = np.searchsorted(codes, solid[-1], side="right") - start
+        # A code lies in one range, so its run here holds all of its incidences. Keyed (the code's
+        # index in the group) << 31 | read (ids are below 2^31), sorted and made distinct, they are
+        # the posting lists.
+        key = reads[order[_runs(start, size)]].astype(np.int64)
+        del codes, reads, order
+        key |= np.repeat(np.arange(len(size), dtype=np.int64) << 31, size)
+        key.sort()
+        key = key[changes(np.append(-1, key))]
+        lens.append(np.bincount(key >> 31, minlength=len(size)))
+        ids.append((key & MAX_BANK_READS).astype(np.int32))
+        del key
+    codes = np.concatenate(solid)
     del solid
-    slots = np.empty(n_slots, dtype=np.int64)
-    qd = QuasiDictionary.create(table.codes, f=f, gamma=gamma, k=k, seed=seed, slots=slots)
-
-    # one incidence per (slot, read), each distinct already; sorted, they group by slot, then read id
-    tb = (n_targets - 1).bit_length()
-    key = slots[loc]
-    del slots, loc
-    key <<= tb
-    key |= read
-    del read
-    key.sort()
-    offsets = np.zeros(n_slots + 1, dtype=np.int64)
-    np.cumsum(np.bincount(key >> tb, minlength=n_slots), out=offsets[1:])
-    key &= (1 << tb) - 1
-    return LinkerIndex(qd, offsets, key.astype(np.int32), k, n_targets)
+    slots = np.empty(len(codes), dtype=np.int64)
+    qd = QuasiDictionary.create(codes, f=f, gamma=gamma, k=k, seed=seed, slots=slots)
+    # each code's posting list moves to its slot, one group at a time
+    offsets = np.zeros(len(codes) + 1, dtype=np.int64)
+    offsets[slots + 1] = np.concatenate(lens)
+    np.cumsum(offsets, out=offsets)
+    moved = np.empty(offsets[-1], dtype=np.int32)
+    for group_slots, group_lens, part in zip(np.split(slots, np.cumsum([len(x) for x in lens])), lens, ids):
+        moved[_runs(offsets[group_slots], group_lens)] = part
+    return LinkerIndex(qd, offsets, moved, k, n_targets)
 
 
 def link_read(
@@ -185,7 +156,7 @@ def link_reads(
         hit = slots >= 0
         starts = index.offsets[slots[hit]]
         lens = index.offsets[slots[hit] + 1] - starts
-        tgt = index.ids[np.arange(lens.sum()) + np.repeat(starts - np.cumsum(lens) + lens, lens)]
+        tgt = index.ids[_runs(starts, lens)]
         # one incidence per (query position, bank read in that k-mer's posting list), keyed
         # ((read << tb | target) << sb) | position with 2^sb > L, the batch's longest read, and sorted
         # once: one run per pair. n reads have n · (L + 1) <= 2^16 (kcount.BATCH_BASES) and n_targets

@@ -197,11 +197,9 @@ def test_failed_run_leaves_no_partial_output(small_data, capsys, command, existi
         assert out.read_bytes() == existing
 
 
-@pytest.mark.parametrize("failure", ["bad record", "no temporary directory"])
-def test_spill_failure_is_a_one_line_error(small_data, capsys, monkeypatch, failure):
-    """The counter spills the bank's k-mers to an anonymous file in the temporary directory. A bank
-    that fails after several batches, or a temporary directory that does not exist, ends in one
-    error line, no output file, a closed spill and nothing left in the temporary directory."""
+def failing_spill(small_data, monkeypatch, failure):
+    """A bank that fails after several batches, or a temporary directory that does not exist; returns
+    the bank, the expected message, the list that records every spill made, and the spill directory."""
     d = small_data["dir"]
     spill_dir = d / "tmp"
     spill_dir.mkdir()
@@ -223,6 +221,16 @@ def test_spill_failure_is_a_one_line_error(small_data, capsys, monkeypatch, fail
         return spills[-1]
 
     monkeypatch.setattr(tempfile, "TemporaryFile", recorded)
+    return bank, message, spills, spill_dir
+
+
+@pytest.mark.parametrize("failure", ["bad record", "no temporary directory"])
+def test_spill_failure_is_a_one_line_error(small_data, capsys, monkeypatch, failure):
+    """The counter spills the bank's k-mers to an anonymous file in the temporary directory. A bank
+    that fails after several batches, or a temporary directory that does not exist, ends in one
+    error line, no output file, a closed spill and nothing left in the temporary directory."""
+    d = small_data["dir"]
+    bank, message, spills, spill_dir = failing_spill(small_data, monkeypatch, failure)
     before = sorted(p.name for p in d.iterdir())
     argv = ["counter", "-b", str(bank), "-q", small_data["fof"], "-o", str(d / "out.tsv"), "-k", "11", "-t", "1"]
     assert main(argv) == 1
@@ -231,6 +239,22 @@ def test_spill_failure_is_a_one_line_error(small_data, capsys, monkeypatch, fail
     assert sorted(p.name for p in d.iterdir()) == before
     assert list(spill_dir.iterdir()) == []
     assert len(spills) == (failure == "bad record") and all(spill.closed for spill in spills)
+
+
+@pytest.mark.parametrize("failure", ["bad record", "no temporary directory"])
+def test_linker_spill_failure_is_a_one_line_error(small_data, capsys, monkeypatch, failure):
+    """The linker spills the bank's k-mer codes and read ids to two anonymous files; a failure ends
+    as the counter's does, with both spills closed."""
+    d = small_data["dir"]
+    bank, message, spills, spill_dir = failing_spill(small_data, monkeypatch, failure)
+    before = sorted(p.name for p in d.iterdir())
+    argv = ["linker", "-b", str(bank), "-q", small_data["fof"], "-o", str(d / "out.txt"), "-k", "11", "-t", "1"]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("qd linker: error: ") and err.count("\n") == 1 and message in err
+    assert sorted(p.name for p in d.iterdir()) == before
+    assert list(spill_dir.iterdir()) == []
+    assert len(spills) == 2 * (failure == "bad record") and all(spill.closed for spill in spills)
 
 
 @pytest.mark.parametrize("exc, message", [

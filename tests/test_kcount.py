@@ -7,8 +7,8 @@ import pytest
 from conftest import random_genome, reads_from_genome, write_fasta
 
 from quasidict import kcount
-from quasidict.kcount import BATCH_BASES, SolidKmerTable, count_solid, scan_reads, solid_table
-from quasidict.kmer import canonical, encode
+from quasidict.kcount import BATCH_BASES, SolidKmerTable, count_solid, scan_batches, solid_table
+from quasidict.kmer import canonical, code_word, encode
 from quasidict.seqio import ReadRecord, open_reads
 
 
@@ -162,14 +162,6 @@ def test_load_accepts_extreme_valid_table(tmp_path):
     assert back.codes.tolist() == [0, 4**31 - 1] and (back.k, back.t) == (31, 255)
 
 
-@pytest.mark.parametrize("k", [1, 15, 16, 17, 31])
-@pytest.mark.parametrize("seqs", [(), ("N" * 34, "N-N")], ids=["empty", "no-window"])
-def test_scan_reads_keeps_the_code_word_without_codes(seqs, k):
-    codes, sizes = scan_reads(reads_of(*seqs), k)
-    assert len(codes) == 0 and sizes.tolist() == [0] * len(seqs)
-    assert codes.dtype == (np.uint32 if k <= 16 else np.uint64)
-
-
 @pytest.mark.parametrize("k", [1, 16, 17, 31])
 def test_load_returns_the_word_of_count_solid(tmp_path, k):
     rng = np.random.default_rng(k)
@@ -195,7 +187,7 @@ def _banks(k):
     }
 
 
-@pytest.mark.parametrize("group_kmers", [1, 3, kcount.GROUP_KMERS])
+@pytest.mark.parametrize("group_kmers", [1, 3, kcount.GROUP_KMERS, 2**18])
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 15, 16, 17, 31])
 def test_groups_are_invisible(monkeypatch, k, group_kmers):
     """Whatever the group budget, the spilled count equals one table over the whole bank."""
@@ -203,7 +195,8 @@ def test_groups_are_invisible(monkeypatch, k, group_kmers):
     for name, seqs in _banks(k).items():
         for t in (1, 2):
             got = count_solid(reads_of(*seqs), k, t)
-            want = solid_table(scan_reads(reads_of(*seqs), k)[0], k, t)
+            codes = [np.empty(0, code_word(k))] + [codes for _, _, codes, _ in scan_batches(reads_of(*seqs), k)]
+            want = solid_table(np.concatenate(codes), k, t)
             assert got.codes.dtype == want.codes.dtype, name
             assert got.codes.tolist() == want.codes.tolist(), name
             assert got.counts.tolist() == want.counts.tolist(), name

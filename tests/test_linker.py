@@ -12,7 +12,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from quasidict import kcount, kmer, linker, seqio
-from quasidict.bits import locate
 from quasidict.cli import main
 from quasidict.core import QuasiDictionary
 from quasidict.evaluation import SimConfig, simulate
@@ -128,31 +127,86 @@ def test_postings_stay_exact_even_at_tiny_f(tmp_path):
         assert got == want
 
 
-@pytest.mark.parametrize("bank, bound", [("15% error", 14), ("error-free, 10x", 30)])
-def test_build_peak_per_bank_kmer(tmp_path, bank, bound):
-    """Traced peak bytes of the k = 15 build per bank k-mer. Bank codes take 4 bytes each, and no
-    screen or incidence step holds a bank-sized 64-bit array: 11.4 and 21.8 here, against 19.5 and
-    85.4 when the codes were widened to 64 bits and the build kept its dead incidence arrays."""
-    path = str(tmp_path / "bank.fa")
-    if bank == "15% error":
-        simulate(SimConfig(20_000, 3, 2000, 50, 0.15, 500, rng_seed=1), path)
-    else:
-        rng = np.random.default_rng(1)
-        write_fasta(path, reads_from_genome(rng, random_genome(rng, 20_000), 2000, 100))
-    n_kmers = int(kcount.scan_reads(seqio.open_reads(path), 15)[1].sum())
+def bank_kmers(path, k):
+    return sum(len(codes) for _, _, codes, _ in kcount.scan_batches(seqio.open_reads(path), k))
+
+
+def traced_peak(build):
+    """Traced peak bytes of ``build()`` above what was allocated before it."""
     tracing = tracemalloc.is_tracing()
     if not tracing:
         tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        build_linker_index(path, k=15)
-        peak = tracemalloc.get_traced_memory()[1] - before
+        build()
+        return tracemalloc.get_traced_memory()[1] - before
     finally:
         if not tracing:
             tracemalloc.stop()
+
+
+@pytest.mark.parametrize("bank, bound", [("15% error", 14), ("error-free, 10x", 30)])
+def test_build_peak_per_bank_kmer(tmp_path, bank, bound):
+    """Traced peak bytes of the k = 15 build per bank k-mer: 10.0 and 18.8 here, against 11.4 and
+    22.1 when the build held the bank's codes, and 19.5 and 85.4 when it held them in 64 bits. The
+    bank is spilled, so on these small banks the peak is one batch's scan, which does not grow with
+    the bank, or the postings; a group budget of 2^18 k-mers instead of 2^16 measured 24.2 and 39.5."""
+    path = str(tmp_path / "bank.fa")
+    if bank == "15% error":
+        simulate(SimConfig(20_000, 3, 2000, 50, 0.15, 500, rng_seed=1), path)
+    else:
+        rng = np.random.default_rng(1)
+        write_fasta(path, reads_from_genome(rng, random_genome(rng, 20_000), 2000, 100))
+    n_kmers = bank_kmers(path, 15)
+    peak = traced_peak(lambda: build_linker_index(path, k=15))
     assert n_kmers > 150_000
     assert peak <= bound * n_kmers, f"{peak / n_kmers:.1f} bytes per bank k-mer"
+
+
+def test_build_does_not_hold_the_bank(tmp_path):
+    """The traced peak of the k = 15 build grows by at most 4 bytes per added bank k-mer: the bank
+    is spilled and only one group of ranges is in memory, but the postings and the solid keys still
+    grow with the bank (3.3 bytes here). Holding the bank cost 11.4 bytes."""
+    peaks, sizes = [], []
+    for spots in (5, 15):  # the spot count sets the bank size
+        path = str(tmp_path / f"bank{spots}.fa")
+        simulate(SimConfig(200_000, spots, 2000, 50, 0.15, 500, rng_seed=1), path)
+        sizes.append(bank_kmers(path, 15))
+        peaks.append(traced_peak(lambda: build_linker_index(path, k=15)))
+    growth = (peaks[1] - peaks[0]) / (sizes[1] - sizes[0])
+    assert growth <= 4.0, f"{growth:.2f} bytes per added bank k-mer"
+
+
+def linker_banks(k):
+    rng = np.random.default_rng(k)
+    sampled = reads_from_genome(rng, random_genome(rng, 1500), 100, 60)
+    return {
+        "empty": [],
+        "no window": ["N" * 40, "ACGTN" * 8],
+        "sampled": sampled,
+        # poly-A is canonical code 0: one range holds more k-mers than the default budget
+        "one range over budget": [*sampled[:30], "A" * (kcount.GROUP_KMERS + 100), "A" * 90],
+        "no solid k-mer at t = 2": [random_genome(rng, k)],
+    }
+
+
+@pytest.mark.parametrize("group_kmers", [1, 3, kcount.GROUP_KMERS])
+@pytest.mark.parametrize("k", [1, 15, 16, 17, 31])
+def test_postings_are_invisible(tmp_path, monkeypatch, k, group_kmers):
+    """Whatever the group and batch budgets, the linker index equals the one built at the defaults."""
+    seqs = linker_banks(k)
+    banks = {name: write_fasta(tmp_path / f"{i}.fa", reads) for i, (name, reads) in enumerate(seqs.items())}
+    want = {(name, t): build_linker_index(path, k=k, t=t) for name, path in banks.items() for t in (1, 2)}
+    assert len(want["sampled", 2].ids) > 0 and want["no solid k-mer at t = 2", 2].qd.n_keys == 0
+    monkeypatch.setattr(kcount, "GROUP_KMERS", group_kmers)
+    monkeypatch.setattr(kcount, "BATCH_BASES", 200)  # several batches, and the poly-A read alone
+    for (name, t), index in want.items():
+        got = build_linker_index(banks[name], k=k, t=t)
+        assert got.qd.serialize() == index.qd.serialize(), (name, t)
+        assert got.offsets.tobytes() == index.offsets.tobytes(), (name, t)
+        assert got.ids.tobytes() == index.ids.tobytes(), (name, t)
+        assert got.n_targets == index.n_targets == len(seqs[name])
 
 
 def test_build_scans_the_bank_once(tmp_path, monkeypatch):
@@ -186,34 +240,6 @@ def test_build_scans_the_bank_once(tmp_path, monkeypatch):
     assert sum(scanned) == sum(map(len, seqs)) + len(seqs) - len(scanned)
     # construction hands out the slots, so the build queries nothing
     assert calls["query_array"] == 0
-
-
-def test_screen_never_decides_membership(tmp_path, monkeypatch):
-    # reads drawn twice from a genome carry solid k-mers; one-off random reads
-    # carry k-mers seen once, which the screen mostly drops before locate
-    rng = np.random.default_rng(9)
-    seqs = reads_from_genome(rng, random_genome(rng, 2000), 80, 60)
-    seqs += [random_genome(rng, 60) for _ in range(40)]
-    bank = write_fasta(tmp_path / "b.fa", seqs)
-    # each read's distinct k-mers: a read's repeats of a k-mer never reach locate
-    n_kmers = sum(len(kmer_set(s, 9)) for s in seqs)
-    assert n_kmers < sum(len(s) - 9 + 1 for s in seqs)
-    located = []
-
-    def recording(table, x):
-        located.append(len(x))
-        return locate(table, x)
-
-    monkeypatch.setattr(linker, "locate", recording)
-    want = build_linker_index(bank, k=9, t=2, f=12)
-    assert 0 < located[-1] < n_kmers  # the screen skips work
-    # a screen of two buckets lets every bank k-mer through to locate
-    monkeypatch.setattr(linker, "SCREEN_BYTES_PER_CODE", 0)
-    got = build_linker_index(bank, k=9, t=2, f=12)
-    assert located[-1] == n_kmers
-    assert got.offsets.tobytes() == want.offsets.tobytes()
-    assert got.ids.tobytes() == want.ids.tobytes()
-    assert got.qd.serialize() == want.qd.serialize()
 
 
 @pytest.mark.parametrize(
