@@ -62,14 +62,13 @@ def changes(ordered: np.ndarray, out=None) -> np.ndarray:
     return np.not_equal(ordered[1:], ordered[:-1], out=out)
 
 
-def distinct(values: np.ndarray, t: int = 1) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct values seen at least t times, sorted, and how often each is seen.
+def runs(ordered: np.ndarray, t: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """The start and the length of each run of at least t equal values in the sorted ``ordered``.
 
-    One sorted copy and three byte masks, no per-distinct-value arrays: a run
-    qualifies where the value t - 1 places on is the same one; its first
-    such window starts the run and its last such window ends it.
+    Three byte masks, no per-distinct-value arrays: a run qualifies where the
+    value t - 1 places on is the same one; its first such window starts the
+    run and its last such window ends it.
     """
-    ordered = np.sort(values)
     step = changes(ordered)
     n = max(len(ordered) - t + 1, 0)  # run starts that leave room for t equal values
     ends = ordered[:n] == ordered[t - 1 :]
@@ -78,7 +77,14 @@ def distinct(values: np.ndarray, t: int = 1) -> tuple[np.ndarray, np.ndarray]:
     first = np.flatnonzero(starts)
     del starts
     ends[:-1] &= step[t - 1 :]
-    return ordered[first], np.flatnonzero(ends) + t - first
+    return first, np.flatnonzero(ends) + t - first
+
+
+def distinct(values: np.ndarray, t: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values seen at least t times, sorted, and how often each is seen."""
+    ordered = np.sort(values)
+    first, lengths = runs(ordered, t)
+    return ordered[first], lengths
 
 
 def locate(table: np.ndarray, x: np.ndarray) -> np.ndarray:

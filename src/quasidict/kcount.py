@@ -1,10 +1,10 @@
 """Solid-k-mer extraction: canonical k-mer counting with a threshold.
 
 A k-mer is solid when its canonical form occurs at least t times across
-the read set (both strands pooled); :func:`solid_table` is the one place
-that decides it, for the counter and the linker alike. Counting is exact;
-the stored counts saturate at 255, which is applied only after the >= t
-filter so the solidity decision never saturates away (t <= 255 is enforced).
+the read set (both strands pooled); one run rule, ``bits.runs``, decides
+it for the counter (in :func:`solid_table`) and the linker alike. Counting
+is exact; the stored counts saturate at 255, which is applied only after
+the >= t filter so the solidity decision never saturates away (t <= 255).
 
 Neither read tool holds the bank: :func:`spill_groups` spills each batch's
 codes (and the linker's read ids) cut into ranges of codes, and reads back
@@ -42,7 +42,9 @@ RANGE_BITS = 8
 GROUP_KMERS = 2**16
 
 
-def _check_t(t: int) -> None:
+def check_k_t(k: int, t: int) -> None:
+    """ValueError unless k is a k-mer length the codes hold and t a threshold the counts hold."""
+    check_k(k)
     if not 1 <= t <= COUNT_CAP:
         raise ValueError(f"solidity threshold must be in [1, {COUNT_CAP}], got {t}")
 
@@ -79,8 +81,7 @@ class SolidKmerTable:
             raise ValueError(f"expected {_HEAD.size + 9 * n} bytes, got {len(buf)}")
         codes = np.frombuffer(buf, dtype="<u8", count=n, offset=_HEAD.size)
         counts = np.frombuffer(buf, dtype=np.uint8, count=n, offset=_HEAD.size + 8 * n).copy()
-        check_k(k)
-        _check_t(t)
+        check_k_t(k, t)
         if (codes[1:] <= codes[:-1]).any() or (codes >= U64(4) ** U64(k)).any():
             raise ValueError(f"codes are not strictly increasing k-mer codes below 4^{k}")
         if (counts < t).any():
@@ -115,8 +116,7 @@ def _scan_batch(batch: list[ReadRecord], k: int) -> tuple:
 
 def solid_table(codes: np.ndarray, k: int, t: int) -> SolidKmerTable:
     """Distinct codes occurring at least t times in ``codes``, with capped counts."""
-    check_k(k)
-    _check_t(t)
+    check_k_t(k, t)
     solid, counts = distinct(codes, t)
     return SolidKmerTable(solid, np.minimum(counts, COUNT_CAP).astype(np.uint8), k, t)
 
@@ -124,10 +124,9 @@ def solid_table(codes: np.ndarray, k: int, t: int) -> SolidKmerTable:
 def count_solid(reads: Iterable[ReadRecord], k: int, t: int) -> SolidKmerTable:
     """Count canonical k-mers over a read stream and keep those seen >= t times, one spilled group
     at a time (:func:`spill_groups`); the group tables join into the sorted table with no sort."""
-    word = code_word(k)
-    tables = [solid_table(np.empty(0, word), k, t)]  # checks k and t before the scan
+    check_k_t(k, t)
     batches = ((codes,) for _, _, codes, _ in scan_batches(reads, k))
-    tables += [solid_table(codes, k, t) for codes, in spill_groups(batches, k, (word,))]
+    tables = [solid_table(codes, k, t) for codes, in spill_groups(batches, k, (code_word(k),))]
     codes, counts = zip(*((table.codes, table.counts) for table in tables))
     return SolidKmerTable(np.concatenate(codes), np.concatenate(counts), k, t)
 

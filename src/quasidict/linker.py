@@ -23,9 +23,9 @@ from typing import Iterable, Iterator, Optional, TextIO
 
 import numpy as np
 
-from .bits import DEFAULT_SEED, changes
+from .bits import DEFAULT_SEED, changes, runs
 from .core import QuasiDictionary
-from .kcount import scan_batches, solid_table, spill_groups
+from .kcount import check_k_t, scan_batches, spill_groups
 from .kmer import code_word, scan_kmers  # noqa: F401 (bench/tests checks that the tracer wraps scan_kmers here)
 from .seqio import ReadRecord, open_reads
 
@@ -72,6 +72,24 @@ def _clamp(x: np.ndarray, lo, hi) -> np.ndarray:
     return np.minimum(np.maximum(x, lo, out=x), hi, out=x)
 
 
+def _group_postings(codes: np.ndarray, reads: np.ndarray, t: int) -> tuple[np.ndarray, ...]:
+    """One group's solid codes, sorted, their posting lengths and their posting lists, one after another.
+
+    One argsort orders the group's incidences, and each run of at least t equal codes is a solid code; a
+    code lies in one range, so its run holds all of its incidences. Keyed (the code's index in the group)
+    << 31 | read (ids are below 2^31), sorted and made distinct, they are the posting lists."""
+    order = np.argsort(codes)
+    codes = codes[order]
+    start, size = runs(codes, t)
+    solid = codes[start]
+    key = reads[order[_runs(start, size)]].astype(np.int64)
+    del codes, reads, order
+    key |= np.repeat(np.arange(len(size), dtype=np.int64) << 31, size)
+    key.sort()
+    key = key[changes(np.append(-1, key))]
+    return solid, np.bincount(key >> 31, minlength=len(size)), (key & MAX_BANK_READS).astype(np.int32)
+
+
 def build_linker_index(
     bank_path: str,
     k: int = 31,
@@ -85,31 +103,16 @@ def build_linker_index(
 
     def batches():
         nonlocal n_targets
-        for batch, _, codes, sizes in scan_batches(open_reads(bank_path), k):
+        for batch, positions, codes, sizes in scan_batches(open_reads(bank_path), k):
+            del positions  # the query loop's column: not held while the spill partitions the batch
             first, n_targets = n_targets, n_targets + len(batch)
             if n_targets > MAX_BANK_READS:
                 raise ValueError(f"bank holds more than {MAX_BANK_READS} reads; read ids are int32")
             yield codes, np.repeat(np.arange(first, n_targets, dtype=np.int32), sizes)
 
-    solid_table(np.empty(0, code_word(k)), k, t)  # checks k and t before the scan
-    solid, lens, ids = [], [], []  # per group: its solid codes, their posting lengths, their posting lists
-    for codes, reads in spill_groups(batches(), k, (code_word(k), np.int32)):
-        order = np.argsort(codes)
-        codes = codes[order]
-        solid.append(solid_table(codes, k, t).codes)
-        start = np.searchsorted(codes, solid[-1])
-        size = np.searchsorted(codes, solid[-1], side="right") - start
-        # A code lies in one range, so its run here holds all of its incidences. Keyed (the code's
-        # index in the group) << 31 | read (ids are below 2^31), sorted and made distinct, they are
-        # the posting lists.
-        key = reads[order[_runs(start, size)]].astype(np.int64)
-        del codes, reads, order
-        key |= np.repeat(np.arange(len(size), dtype=np.int64) << 31, size)
-        key.sort()
-        key = key[changes(np.append(-1, key))]
-        lens.append(np.bincount(key >> 31, minlength=len(size)))
-        ids.append((key & MAX_BANK_READS).astype(np.int32))
-        del key
+    check_k_t(k, t)
+    groups = spill_groups(batches(), k, (code_word(k), np.int32))
+    solid, lens, ids = zip(*(_group_postings(codes, reads, t) for codes, reads in groups))
     codes = np.concatenate(solid)
     del solid
     slots = np.empty(len(codes), dtype=np.int64)

@@ -69,28 +69,19 @@ def open_reads(path: str) -> Iterator[ReadRecord]:
 
 
 def _read_fasta(path: str, fh) -> Iterator[ReadRecord]:
-    rid = 0
-    header = None
-    header_line = 0
-    chunks: list[str] = []
+    # open_reads has read '>' first, so the first line is the first header
+    rid, header, header_line, chunks = 0, _header_word(fh.readline()), 1, []
     # the sentinel header after the last line emits the last record
-    for lineno, line in enumerate(chain(fh, [">"]), start=1):
+    for lineno, line in enumerate(chain(fh, [">"]), start=2):
         line = line.rstrip("\n")
         if line.startswith(">"):
-            if header is not None:
-                seq = "".join(chunks)
-                if not seq:
-                    raise ParseError(path, header_line, "record has empty sequence")
-                yield ReadRecord(rid, header, seq)
-                rid += 1
-            header = _header_word(line)
-            header_line = lineno
-            chunks = []
-        else:
-            if header is None:
-                raise ParseError(path, lineno, "sequence data before first '>' header")
-            if line:
-                chunks.append(line)
+            seq = "".join(chunks)
+            if not seq:
+                raise ParseError(path, header_line, "record has empty sequence")
+            yield ReadRecord(rid, header, seq)
+            rid, header, header_line, chunks = rid + 1, _header_word(line), lineno, []
+        elif line:
+            chunks.append(line)
 
 
 def _read_fastq(path: str, fh) -> Iterator[ReadRecord]:

@@ -148,10 +148,11 @@ def traced_peak(build):
 
 @pytest.mark.parametrize("bank, bound", [("15% error", 14), ("error-free, 10x", 30)])
 def test_build_peak_per_bank_kmer(tmp_path, bank, bound):
-    """Traced peak bytes of the k = 15 build per bank k-mer: 10.0 and 18.8 here, against 11.4 and
-    22.1 when the build held the bank's codes, and 19.5 and 85.4 when it held them in 64 bits. The
-    bank is spilled, so on these small banks the peak is one batch's scan, which does not grow with
-    the bank, or the postings; a group budget of 2^18 k-mers instead of 2^16 measured 24.2 and 39.5."""
+    """Traced peak bytes of the k = 15 build per bank k-mer: 8.4 and 18.4 here (10.0 and 18.8 while
+    it held each batch's unused positions), against 11.4 and 22.1 when the build held the bank's
+    codes, and 19.5 and 85.4 when it held them in 64 bits. The bank is spilled, so on these small
+    banks the peak is one batch's scan, which does not grow with the bank, or the postings; a group
+    budget of 2^18 k-mers instead of 2^16 measured 24.2 and 39.5."""
     path = str(tmp_path / "bank.fa")
     if bank == "15% error":
         simulate(SimConfig(20_000, 3, 2000, 50, 0.15, 500, rng_seed=1), path)

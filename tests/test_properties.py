@@ -4,7 +4,8 @@ packer against its reader, the scalar wrappers against the array path and
 against a plain-int reference walk of the structure, index save/load and
 damaged index buffers, the sorted-array rules against Counter and dict
 oracles, and the k-mer scan, solid-k-mer counting, counter
-stats and linker postings against brute-force string oracles."""
+stats and linker postings against brute-force string oracles, and one
+linker group's postings against a set oracle."""
 
 import math
 import os
@@ -27,6 +28,7 @@ from quasidict.bits import (
     distinct,
     locate,
     mix64,
+    runs,
 )
 from quasidict.core import (
     _FINGERPRINT_TAG,
@@ -39,7 +41,7 @@ from quasidict.core import (
 from quasidict.counter import CountStats, build_counter_index, count_read
 from quasidict.kcount import COUNT_CAP, count_solid, solid_table
 from quasidict.kmer import MAX_K, iter_kmers, scan_kmers
-from quasidict.linker import build_linker_index
+from quasidict.linker import MAX_BANK_READS, _group_postings, build_linker_index
 from quasidict.mphf import FALLBACK_CUTOFF, NOT_FOUND, DuplicateKeyError, Mphf
 from quasidict.seqio import ReadRecord
 
@@ -257,6 +259,20 @@ def test_distinct_matches_counter(runs, t, dtype):
 
 
 @settings(deadline=None, max_examples=150)
+@given(value_runs, st.integers(1, COUNT_CAP), st.sampled_from([np.uint32, np.uint64]))
+@example(value_counts=[], t=1, dtype=np.uint32)
+@example(value_counts=[(5, 300)], t=255, dtype=np.uint32)  # all equal, one long run
+@example(value_counts=[(0, 254), (MAX_U64, 256)], t=255, dtype=np.uint64)
+@example(value_counts=[(1, 1), (2, 1), (3, 1)], t=1, dtype=np.uint64)  # no two equal
+def test_runs_match_counter(value_counts, t, dtype):
+    # a uint32 array keeps the low 32 bits of each value, which may merge two runs into one
+    values = sorted(v & np.iinfo(dtype).max for v, n in value_counts for _ in range(n))
+    first, lengths = runs(np.array(values, dtype=dtype), t)
+    counts = sorted((v, n) for v, n in Counter(values).items() if n >= t)
+    assert list(zip(first.tolist(), lengths.tolist())) == [(values.index(v), n) for v, n in counts]
+
+
+@settings(deadline=None, max_examples=150)
 @given(st.lists(u64, unique=True, max_size=60), st.lists(u64, max_size=60))
 @example(table=[], probes=[5])
 @example(table=[MAX_U64], probes=[])
@@ -368,6 +384,30 @@ def test_linker_postings_match_containment(seqs, k, t, f):
     for code, slot in zip(solid, slots.tolist()):
         want = [i for i, s in enumerate(seqs) if code in kmer_occurrences([s], k)]
         assert index.ids[index.offsets[slot] : index.offsets[slot + 1]].tolist() == want
+
+
+# a few small codes so that runs form, and each code word's extremes
+group_codes = st.integers(0, 5) | st.sampled_from([2**31, 2**32 - 1, 2**62 - 1])
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    st.lists(st.tuples(st.integers(0, MAX_BANK_READS), st.lists(group_codes, max_size=12)), max_size=10),
+    st.sampled_from([np.uint32, np.uint64]),
+    st.sampled_from([1, 2, 5]),
+)
+@example(reads=[], word=np.uint32, t=1)  # an empty group
+@example(reads=[(0, [3, 3]), (MAX_BANK_READS, [3, 0])], word=np.uint64, t=2)  # the largest read id
+def test_group_postings_match_set_oracle(reads, word, t):
+    # incidences in bank order: read ids ascending, each read's codes in its own order
+    rows = [(rid, code & np.iinfo(word).max) for rid, codes in sorted(reads) for code in codes]
+    ids = np.array([rid for rid, _ in rows], dtype=np.int32)
+    solid, lens, postings = _group_postings(np.array([c for _, c in rows], dtype=word), ids, t)
+    counts = Counter(code for _, code in rows)
+    want = {code: sorted({rid for rid, c in rows if c == code}) for code, n in counts.items() if n >= t}
+    assert solid.dtype == word and solid.tolist() == sorted(want)
+    assert lens.tolist() == [len(want[code]) for code in sorted(want)]
+    assert postings.dtype == np.int32 and postings.tolist() == [rid for code in sorted(want) for rid in want[code]]
 
 
 @settings(deadline=None, max_examples=60)
