@@ -26,7 +26,7 @@ with tempfile.TemporaryDirectory() as work:
     index = build_linker_index(str(bank_path), k=21, t=1, f=12)
 print(f"bank reads:            {index.n_targets}")
 print(f"solid 21-mers indexed: {index.qd.n_keys}")
-print(f"mean posting length:   {index.mean_posting_length():.2f} reads/k-mer")
+print(f"mean posting length:   {len(index.ids) / index.qd.n_keys:.2f} reads/k-mer")
 
 q = 30
 matches = link_read(index, ReadRecord(q, f"tile{q}", reads[q]), threshold=10, exclude_self=True)

@@ -12,11 +12,10 @@ coverage (linker), plus a read simulator and recall/precision scoring.
 
 from .bitrank import RankBitVector
 from .bits import DEFAULT_SEED
-from .core import NOT_FOUND, QuasiDictionary, fingerprint
+from .core import NOT_FOUND, QuasiDictionary
 from .counter import CountStats, CounterIndex, build_counter_index, count_read
 from .evaluation import SimConfig, score, simulate
 from .kcount import SolidKmerTable, count_solid
-from .kmer import NonNucleotideError, canonical, decode, encode, iter_kmers, revcomp
 from .linker import LinkerIndex, MatchResult, build_linker_index, link_read
 from .mphf import DuplicateKeyError, Mphf
 from .seqio import ParseError, ReadRecord, open_file_of_files, open_reads
@@ -30,13 +29,6 @@ __all__ = [
     "Mphf",
     "DuplicateKeyError",
     "QuasiDictionary",
-    "fingerprint",
-    "NonNucleotideError",
-    "encode",
-    "decode",
-    "revcomp",
-    "canonical",
-    "iter_kmers",
     "ReadRecord",
     "ParseError",
     "open_reads",

@@ -4,7 +4,7 @@ The vector stores one cumulative popcount sample per 512-bit block
 (12.5% overhead) plus a trailing total, and in memory a uint16 count of
 the ones before each word inside its block. ``rank1_array`` answers many
 positions at once as block sample + in-block word count + one masked
-word popcount; the scalar methods call the array ones.
+word popcount.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ WORDS_PER_BLOCK = BLOCK_BITS // 64
 
 
 class RankBitVector:
-    """Immutable bit array of length ``n_bits`` answering rank1 queries."""
+    """Immutable bit array of length ``n_bits`` answering rank queries."""
 
     __slots__ = ("words", "n_bits", "samples", "in_block", "n_ones")
 
@@ -53,28 +53,14 @@ class RankBitVector:
     def __len__(self) -> int:
         return self.n_bits
 
-    def get(self, i: int) -> int:
-        """Bit at position ``i``."""
-        if not 0 <= i < self.n_bits:
-            raise ValueError(f"bit index {i} out of range [0, {self.n_bits})")
-        return int(self.get_array(np.array([i], dtype=np.int64))[0])
-
     def get_array(self, pos: np.ndarray) -> np.ndarray:
         """Bits at positions ``pos`` (each in [0, n_bits)), as a bool array."""
         p = pos.astype(np.uint64, copy=False)
         w = self.words[(p >> U64(6)).astype(np.int64)]
         return ((w >> (p & U64(63))) & U64(1)).astype(bool)
 
-    def rank1(self, i: int) -> int:
-        """Number of set bits in positions [0, i); requires 0 <= i <= n_bits."""
-        if not 0 <= i <= self.n_bits:
-            raise ValueError(f"rank position {i} out of range [0, {self.n_bits}]")
-        if i == self.n_bits:
-            return self.n_ones
-        return int(self.rank1_array(np.array([i], dtype=np.int64))[0])
-
     def rank1_array(self, pos: np.ndarray) -> np.ndarray:
-        """Vectorized rank1 for positions in [0, n_bits), as int64."""
+        """Number of set bits before each of ``pos`` (each in [0, n_bits)), as int64."""
         p = pos.astype(np.int64, copy=False)
         w = p >> 6
         below = (U64(1) << (p & 63).astype(np.uint64)) - U64(1)

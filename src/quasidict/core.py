@@ -45,18 +45,13 @@ def _fp_seed(seed: int) -> int:
     return int(mix64(key_array(seed ^ _FINGERPRINT_TAG))[0])
 
 
-def fingerprint(key: int, f: int, k: int = 31, seed: int = DEFAULT_SEED) -> int:
-    """f-bit fingerprint of a key.
+def fingerprint_array(keys: np.ndarray, f: int, k: int = 31, seed: int = DEFAULT_SEED) -> np.ndarray:
+    """f-bit fingerprint of each key in a uint64 array.
 
     Mixed through a xor-shift-multiply avalanche and masked to f bits;
     except at f == 2k, where the raw key code is returned so that distinct
     k-mers can never share a fingerprint.
     """
-    return int(fingerprint_array(key_array(key), f, k, seed)[0])
-
-
-def fingerprint_array(keys: np.ndarray, f: int, k: int = 31, seed: int = DEFAULT_SEED) -> np.ndarray:
-    """Vectorized :func:`fingerprint` over a uint64 key array."""
     _check_f(f)
     keys = np.ascontiguousarray(keys, dtype=np.uint64)
     if f == 2 * k:

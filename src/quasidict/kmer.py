@@ -1,5 +1,4 @@
-"""2-bit k-mer codec: encode/decode, reverse complement, canonical form,
-and sliding-window extraction from nucleotide strings.
+"""2-bit k-mer codes of every window of a nucleotide string, in canonical form.
 
 A k-mer (k <= 31) packs into one unsigned word, two bits per base
 (A=0, C=1, G=2, T=3), most significant base first, so numeric order of
@@ -23,29 +22,16 @@ digits.
 
 from __future__ import annotations
 
-from typing import Iterator
-
 import numpy as np
 
 from .bits import U64
 
 MAX_K = 31
 
-_BASES = "ACGT"
-_CODE_OF = {"A": 0, "C": 1, "G": 2, "T": 3, "a": 0, "c": 1, "g": 2, "t": 3}
-
 # byte value -> 2-bit code, 255 marks any non-nucleotide
 _LUT = np.full(256, 255, dtype=np.uint8)
-for _ch, _v in _CODE_OF.items():
-    _LUT[ord(_ch)] = _v
-
-class NonNucleotideError(ValueError):
-    """A character outside {A,C,G,T} where a nucleotide was required."""
-
-    def __init__(self, char: str, position: int):
-        self.char = char
-        self.position = position
-        super().__init__(f"non-nucleotide character {char!r} at position {position}")
+for _i, _ch in enumerate("ACGTacgt"):
+    _LUT[ord(_ch)] = _i & 3
 
 
 def check_k(k: int) -> None:
@@ -57,43 +43,6 @@ def check_k(k: int) -> None:
 def code_word(k: int) -> type:
     """The unsigned numpy word of length-k code arrays: uint32 up to k = 16, else uint64."""
     return np.uint32 if k <= 16 else U64
-
-
-def encode(s: str) -> int:
-    """Pack a string over {A,C,G,T} (case-insensitive) into its code."""
-    check_k(len(s))
-    code = 0
-    for i, ch in enumerate(s):
-        v = _CODE_OF.get(ch)
-        if v is None:
-            raise NonNucleotideError(ch, i)
-        code = (code << 2) | v
-    return code
-
-
-def decode(code: int, k: int) -> str:
-    """Inverse of :func:`encode` for a length-k code."""
-    check_k(k)
-    if not 0 <= code < (1 << (2 * k)):
-        raise ValueError(f"code {code} out of range for k={k}")
-    out = []
-    for shift in range(2 * (k - 1), -2, -2):
-        out.append(_BASES[(code >> shift) & 3])
-    return "".join(out)
-
-
-def revcomp(code: int, k: int) -> int:
-    """Reverse complement: base order reversed, A<->T and C<->G swapped."""
-    out = 0
-    for _ in range(k):
-        out = (out << 2) | (3 - (code & 3))
-        code >>= 2
-    return out
-
-
-def canonical(code: int, k: int) -> int:
-    """Smaller of a code and its reverse complement (string order)."""
-    return min(code, revcomp(code, k))
 
 
 def scan_kmers(seq: str, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -146,10 +95,3 @@ def scan_kmers(seq: str, k: int) -> tuple[np.ndarray, np.ndarray]:
     forward >>= word(2 * (span - k))
     reverse &= word((1 << 2 * k) - 1)
     return positions, np.minimum(forward, reverse, out=forward)[positions]
-
-
-def iter_kmers(seq: str, k: int) -> Iterator[tuple[int, int]]:
-    """Stream of (position, canonical code) over the valid windows of ``seq``."""
-    positions, codes = scan_kmers(seq, k)
-    for p, c in zip(positions, codes):
-        yield int(p), int(c)

@@ -55,12 +55,6 @@ class LinkerIndex:
         self.k = k
         self.n_targets = n_targets
 
-    def mean_posting_length(self) -> float:
-        """Average number of bank reads per indexed k-mer (data-dependent)."""
-        if self.qd.n_keys == 0:
-            return 0.0
-        return len(self.ids) / self.qd.n_keys
-
 
 def _runs(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
     """The indices of the runs ``[starts[i], starts[i] + lens[i])``, one run after another."""

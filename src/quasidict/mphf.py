@@ -23,7 +23,7 @@ import struct
 import numpy as np
 
 from .bitrank import RankBitVector
-from .bits import DEFAULT_SEED, U64, changes, check_room, derive_seed, key_array, locate, mix64
+from .bits import DEFAULT_SEED, U64, changes, check_room, derive_seed, locate, mix64
 
 NOT_FOUND = -1
 MAX_LEVELS = 64
@@ -163,10 +163,6 @@ class Mphf:
         slots[index[order]] = np.arange(n - remaining.size, n)  # fallback keys last, in key order
         return cls(levels, fallback, n, float(gamma), seed)
 
-    def lookup(self, key: int) -> int:
-        """Dense index of ``key``, or NOT_FOUND (-1)."""
-        return int(self.lookup_array(key_array(key))[0])
-
     def lookup_array(self, keys: np.ndarray) -> np.ndarray:
         """Vectorized lookup; int64 array of dense indices, -1 where NOT_FOUND."""
         keys = np.ascontiguousarray(keys, dtype=np.uint64)
@@ -213,6 +209,8 @@ class Mphf:
             raise ValueError("not a serialized perfect-hash structure")
         if version != _VERSION:
             raise ValueError(f"unsupported version {version}")
+        if not 1.0 <= gamma <= MAX_GAMMA or n_levels > MAX_LEVELS:  # nan fails the first test
+            raise ValueError(f"gamma {gamma} or level count {n_levels} is not one construct writes")
         offset += _HEAD.size
         levels = []
         for _ in range(n_levels):

@@ -1,5 +1,6 @@
-"""Shared fixture helpers: distinct random keys, unpacked bit words, synthetic
-read sets with genuine k-mer overlap, damaged gzip."""
+"""Shared fixture helpers: distinct random keys, unpacked bit words, the
+string oracle of canonical k-mer codes, synthetic read sets with genuine
+k-mer overlap, damaged gzip."""
 
 import gzip
 
@@ -24,6 +25,19 @@ def words_to_bool(words, n_bits):
     """Inverse of ``bits.pack_bool_to_words``: bit i is word[i >> 6] bit (i & 63)."""
     as_bytes = np.frombuffer(np.ascontiguousarray(words).tobytes(), dtype=np.uint8)
     return np.unpackbits(as_bytes, bitorder="little")[:n_bits].astype(bool)
+
+
+def window_oracle(seq, k):
+    """(start, canonical code) of every all-ACGT window, case-insensitive, via strings."""
+    digits, complement = str.maketrans("ACGT", "0123"), str.maketrans("ACGT", "TGCA")
+    out = []
+    for i in range(len(seq) - k + 1):
+        w = seq[i : i + k]
+        if set(w) <= set("ACGTacgt"):
+            w = w.upper()
+            rc = w[::-1].translate(complement)
+            out.append((i, min(int(w.translate(digits), 4), int(rc.translate(digits), 4))))
+    return out
 
 
 def random_genome(rng, length):

@@ -1,4 +1,4 @@
-"""rank1 correctness against a naive prefix-popcount oracle."""
+"""rank1_array correctness against a naive prefix-popcount oracle."""
 
 import numpy as np
 import pytest
@@ -10,33 +10,26 @@ from conftest import words_to_bool
 
 
 def naive_prefix_counts(bits):
-    """Oracle: cumulative popcount, rank1(i) == prefix[i]."""
+    """Oracle: cumulative popcount, the rank at i is prefix[i]."""
     return np.concatenate([[0], np.cumsum(np.asarray(bits, dtype=np.int64))])
 
 
 def test_empty_vector():
     v = RankBitVector.build(np.zeros(0, dtype=np.uint8))
     assert len(v) == 0
-    assert v.rank1(0) == 0
+    assert v.n_ones == 0
 
 
 def test_small_literal():
     v = RankBitVector.build([1, 0, 1, 1, 0])
-    assert v.rank1(5) == 3
-    assert [v.get(i) for i in range(5)] == [1, 0, 1, 1, 0]
+    assert v.n_ones == 3
+    assert v.rank1_array(np.arange(5)).tolist() == [0, 1, 1, 2, 3]
+    assert v.get_array(np.arange(5)).tolist() == [True, False, True, True, False]
 
 
 def test_all_ones_all_zeros():
-    assert RankBitVector.build([1, 1, 1, 1]).rank1(4) == 4
-    assert RankBitVector.build([0, 0, 0, 0]).rank1(4) == 0
-
-
-def test_rank_rejects_out_of_range():
-    v = RankBitVector.build([1, 0, 1])
-    with pytest.raises(ValueError):
-        v.rank1(4)
-    with pytest.raises(ValueError):
-        v.rank1(-1)
+    assert RankBitVector.build([1, 1, 1, 1]).n_ones == 4
+    assert RankBitVector.build([0, 0, 0, 0]).n_ones == 0
 
 
 def test_rank_matches_oracle_on_random_arrays():
@@ -49,19 +42,8 @@ def test_rank_matches_oracle_on_random_arrays():
         bits = rng.random(n) < density
         v = RankBitVector.build(bits)
         prefix = naive_prefix_counts(bits)
-        positions = np.arange(n + 1)
-        got = np.array([v.rank1(int(i)) for i in positions])
-        assert (got == prefix).all()
-
-
-def test_rank_array_matches_scalar():
-    rng = np.random.default_rng(7)
-    bits = rng.random(5000) < 0.4
-    v = RankBitVector.build(bits)
-    pos = rng.integers(0, 5000, size=2000)
-    batch = v.rank1_array(pos)
-    scalar = np.array([v.rank1(int(i)) for i in pos])
-    assert (batch == scalar).all()
+        assert (v.rank1_array(np.arange(n)) == prefix[:-1]).all()
+        assert v.n_ones == prefix[-1]
 
 
 def test_rank_properties():
@@ -69,10 +51,10 @@ def test_rank_properties():
     bits = rng.random(3000) < 0.5
     v = RankBitVector.build(bits)
     prefix = naive_prefix_counts(bits)
-    assert v.rank1(len(bits)) == int(bits.sum())
-    # monotone, and rank1(i+1) - rank1(i) == bit(i)
+    assert v.n_ones == int(bits.sum())
+    # monotone, and rank(i+1) - rank(i) == bit(i)
     ranks = v.rank1_array(np.arange(len(bits)))
-    full = np.concatenate([ranks, [v.rank1(len(bits))]])
+    full = np.concatenate([ranks, [v.n_ones]])
     steps = np.diff(full)
     assert (steps == bits.astype(np.int64)).all()
     assert (full == prefix).all()
@@ -102,7 +84,7 @@ def test_serialize_roundtrip():
         assert end == len(blob)
         assert w.n_bits == v.n_bits
         assert (w.words == v.words).all()
-        assert w.rank1(n) == v.rank1(n)
+        assert w.n_ones == v.n_ones
         for cut in range(len(blob)):
             with pytest.raises(ValueError):
                 RankBitVector.deserialize(blob[:cut])
@@ -112,5 +94,5 @@ def test_unaligned_tail_is_masked():
     # from_words path: stray bits above n_bits must not leak into ranks
     words = np.array([0xFFFFFFFFFFFFFFFF], dtype=np.uint64)
     v = RankBitVector(words, 10)
-    assert v.rank1(10) == 10
     assert v.n_ones == 10
+    assert v.rank1_array(np.array([9])).tolist() == [9]

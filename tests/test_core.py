@@ -15,7 +15,6 @@ from quasidict.core import (
     NOT_FOUND,
     QuasiDictionary,
     _pack_entries,
-    fingerprint,
     fingerprint_array,
 )
 
@@ -46,23 +45,16 @@ def test_fingerprint_range():
 
 
 def test_fingerprint_deterministic():
-    assert fingerprint(987654321, 12) == fingerprint(987654321, 12)
-
-
-def test_fingerprint_scalar_matches_array():
-    rng = np.random.default_rng(2)
-    keys = rng.integers(0, 1 << 62, size=200, dtype=np.uint64)
-    for f in (7, 12, 62):
-        batch = fingerprint_array(keys, f)
-        for key, b in zip(keys[:50], batch[:50]):
-            assert fingerprint(int(key), f) == int(b)
+    keys = np.array([987654321], dtype=np.uint64)
+    assert fingerprint_array(keys, 12) == fingerprint_array(keys, 12)
 
 
 def test_fingerprint_width_validated():
+    keys = np.array([1], dtype=np.uint64)
     with pytest.raises(ValueError):
-        fingerprint(1, 0)
+        fingerprint_array(keys, 0)
     with pytest.raises(ValueError):
-        fingerprint(1, 65)
+        fingerprint_array(keys, 65)
 
 
 def test_fingerprint_exact_mode_is_injective():
@@ -107,7 +99,7 @@ def test_singleton_create_and_query():
     qd = QuasiDictionary.create(np.array([x], dtype=np.uint64), f=12)
     assert qd.query(x) == 0
     stored = qd._stored_fingerprints(np.array([0]))[0]
-    assert int(stored) == fingerprint(x, 12)
+    assert stored == fingerprint_array(np.array([x], dtype=np.uint64), 12)[0]
 
 
 def test_no_false_negatives_and_bijection():

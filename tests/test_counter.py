@@ -12,10 +12,9 @@ from quasidict.counter import (
     format_count_line,
     run_counter,
 )
-from quasidict.kmer import canonical, encode
 from quasidict.seqio import ReadRecord
 
-from conftest import random_genome, reads_from_genome, write_fasta
+from conftest import random_genome, reads_from_genome, window_oracle, write_fasta
 
 
 def brute_force_stats(bank_seqs, query_seq, k, t):
@@ -23,19 +22,13 @@ def brute_force_stats(bank_seqs, query_seq, k, t):
     the query windows and collect counts of the solid ones."""
     counts = {}
     for s in bank_seqs:
-        for i in range(len(s) - k + 1):
-            w = s[i : i + k]
-            if all(c in "ACGT" for c in w):
-                code = canonical(encode(w), k)
-                counts[code] = counts.get(code, 0) + 1
+        for _, code in window_oracle(s, k):
+            counts[code] = counts.get(code, 0) + 1
     got = []
-    for i in range(len(query_seq) - k + 1):
-        w = query_seq[i : i + k]
-        if all(c in "ACGT" for c in w):
-            code = canonical(encode(w), k)
-            n = counts.get(code, 0)
-            if n >= t:
-                got.append(min(n, 255))
+    for _, code in window_oracle(query_seq, k):
+        n = counts.get(code, 0)
+        if n >= t:
+            got.append(min(n, 255))
     if not got:
         return None
     ordered = sorted(got)

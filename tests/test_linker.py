@@ -15,44 +15,29 @@ from quasidict import kcount, kmer, linker, seqio
 from quasidict.cli import main
 from quasidict.core import QuasiDictionary
 from quasidict.evaluation import SimConfig, simulate
-from quasidict.kmer import canonical, encode
 from quasidict.kmer import scan_kmers
 from quasidict.linker import MatchResult, build_linker_index, format_link_line, link_read, run_linker
 from quasidict.seqio import ReadRecord
 
-from conftest import random_genome, reads_from_genome, write_fasta
+from conftest import random_genome, reads_from_genome, window_oracle, write_fasta
 
 
 def kmer_set(seq, k):
-    out = set()
-    for i in range(len(seq) - k + 1):
-        w = seq[i : i + k]
-        if all(c in "ACGT" for c in w):
-            out.add(canonical(encode(w), k))
-    return out
+    return {code for _, code in window_oracle(seq, k)}
 
 
 def solid_set(seqs, k, t):
-    counts = {}
-    for s in seqs:
-        for i in range(len(s) - k + 1):
-            w = s[i : i + k]
-            if all(c in "ACGT" for c in w):
-                code = canonical(encode(w), k)
-                counts[code] = counts.get(code, 0) + 1
+    counts = Counter(code for s in seqs for _, code in window_oracle(s, k))
     return {c for c, n in counts.items() if n >= t}
 
 
 def coverage_oracle(query, target_kmers, k, solid):
     """Positions of the query covered by a solid k-mer present in the target."""
     covered = [False] * len(query)
-    for i in range(len(query) - k + 1):
-        w = query[i : i + k]
-        if all(c in "ACGT" for c in w):
-            code = canonical(encode(w), k)
-            if code in solid and code in target_kmers:
-                for p in range(i, i + k):
-                    covered[p] = True
+    for i, code in window_oracle(query, k):
+        if code in solid and code in target_kmers:
+            for p in range(i, i + k):
+                covered[p] = True
     return covered
 
 
@@ -375,14 +360,7 @@ def test_results_sorted_by_score_then_id(tmp_path):
 
 def shared_positions_oracle(query, target_kmers, k, solid):
     """Count query window positions whose k-mer also occurs in the target."""
-    n = 0
-    for i in range(len(query) - k + 1):
-        w = query[i : i + k]
-        if all(c in "ACGT" for c in w):
-            code = canonical(encode(w), k)
-            if code in solid and code in target_kmers:
-                n += 1
-    return n
+    return sum(code in solid and code in target_kmers for _, code in window_oracle(query, k))
 
 
 def test_threshold_gates_on_shared_kmers_and_score(tmp_path):

@@ -1,5 +1,7 @@
 """Bijectivity, determinism and size of the minimal perfect hash."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -21,7 +23,7 @@ def random_keys(n, seed):
 
 def test_singleton():
     m = Mphf.construct(np.array([12345], dtype=np.uint64))
-    assert m.lookup(12345) == 0
+    assert m.lookup_array(np.array([12345], dtype=np.uint64)).tolist() == [0]
 
 
 def test_bijectivity_small_sizes():
@@ -31,14 +33,6 @@ def test_bijectivity_small_sizes():
         m = Mphf.construct(keys)
         got = np.sort(m.lookup_array(keys))
         assert (got == np.arange(n)).all(), f"not a bijection at N={n}"
-
-
-def test_scalar_matches_batch():
-    keys = random_keys(500, seed=9)
-    m = Mphf.construct(keys)
-    batch = m.lookup_array(keys)
-    for i in range(0, 500, 17):
-        assert m.lookup(int(keys[i])) == batch[i]
 
 
 def test_lookup_deterministic():
@@ -127,6 +121,25 @@ def test_deserialize_rejects_a_level_with_no_bits():
         Mphf.deserialize(blob)
 
 
+@pytest.mark.parametrize(
+    "offset, fmt, value",
+    [
+        pytest.param(16, "<d", float("nan"), id="gamma_nan"),
+        pytest.param(16, "<d", -3.0, id="gamma_negative"),
+        pytest.param(16, "<d", 0.0, id="gamma_zero"),
+        pytest.param(16, "<d", 1e300, id="gamma_huge"),
+        pytest.param(32, "<I", mphf.MAX_LEVELS + 1, id="levels_above_max"),
+        pytest.param(32, "<I", 2**32 - 1, id="levels_u32_max"),
+    ],
+)
+def test_deserialize_rejects_header_fields_construct_never_writes(offset, fmt, value):
+    # MPHF header: magic, version, n_keys @8, gamma @16, seed @24, level count @32
+    blob = Mphf.construct(random_keys(3000, seed=31)).serialize()
+    bad = blob[:offset] + struct.pack(fmt, value) + blob[offset + struct.calcsize(fmt) :]
+    with pytest.raises(ValueError, match="not one construct writes"):
+        Mphf.deserialize(bad)
+
+
 def _swap_keys(pairs):
     pairs[[1, 2], 0] = pairs[[2, 1], 0]
 
@@ -190,7 +203,6 @@ def test_level_seeds_distinct():
 def test_empty_key_set():
     m = Mphf.construct(np.empty(0, dtype=np.uint64))
     assert m.n_keys == 0
-    assert m.lookup(123) == NOT_FOUND
     assert (m.lookup_array(np.array([1, 2, 3], dtype=np.uint64)) == NOT_FOUND).all()
 
 
