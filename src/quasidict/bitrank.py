@@ -13,7 +13,7 @@ import struct
 
 import numpy as np
 
-from .bits import U64, check_room, pack_bool_to_words
+from .bits import U64, check_room, n_words, pack, unpack
 
 BLOCK_BITS = 512
 WORDS_PER_BLOCK = BLOCK_BITS // 64
@@ -26,21 +26,21 @@ class RankBitVector:
 
     def __init__(self, words: np.ndarray, n_bits: int):
         words = np.ascontiguousarray(words, dtype=np.uint64)
-        n_words = (n_bits + 63) // 64
-        if len(words) != n_words:
-            raise ValueError(f"expected {n_words} words for {n_bits} bits, got {len(words)}")
+        size = n_words(n_bits, 1)
+        if len(words) != size:
+            raise ValueError(f"expected {size} words for {n_bits} bits, got {len(words)}")
         if n_bits & 63:
             # bits above n_bits must stay zero or ranks drift
             words = words.copy()
             words[-1] &= (U64(1) << U64(n_bits & 63)) - U64(1)
         self.words = words
         self.n_bits = n_bits
-        n_blocks = (n_words + WORDS_PER_BLOCK - 1) // WORDS_PER_BLOCK
+        n_blocks = (size + WORDS_PER_BLOCK - 1) // WORDS_PER_BLOCK
         per_word = np.zeros(n_blocks * WORDS_PER_BLOCK, dtype=np.uint16)
-        per_word[:n_words] = np.bitwise_count(words)
+        per_word[:size] = np.bitwise_count(words)
         per_word = per_word.reshape(n_blocks, WORDS_PER_BLOCK)
         through = np.cumsum(per_word, axis=1, dtype=np.uint16)  # at most 512
-        self.in_block = (through - per_word).ravel()[:n_words]  # at most 448
+        self.in_block = (through - per_word).ravel()[:size]  # at most 448
         self.samples = np.concatenate([[0], np.cumsum(through[:, -1], dtype=np.int64)])
         self.n_ones = int(self.samples[-1])
 
@@ -48,16 +48,14 @@ class RankBitVector:
     def build(cls, bits) -> "RankBitVector":
         """Build from a 0/1 (or bool) array."""
         bits = np.asarray(bits)
-        return cls(pack_bool_to_words(bits), len(bits))
+        return cls(pack(bits, 1), len(bits))
 
     def __len__(self) -> int:
         return self.n_bits
 
     def get_array(self, pos: np.ndarray) -> np.ndarray:
         """Bits at positions ``pos`` (each in [0, n_bits)), as a bool array."""
-        p = pos.astype(np.uint64, copy=False)
-        w = self.words[(p >> U64(6)).astype(np.int64)]
-        return ((w >> (p & U64(63))) & U64(1)).astype(bool)
+        return unpack(self.words, 1, pos).astype(bool)
 
     def rank1_array(self, pos: np.ndarray) -> np.ndarray:
         """Number of set bits before each of ``pos`` (each in [0, n_bits)), as int64."""
@@ -83,11 +81,9 @@ class RankBitVector:
         check_room(buf, offset, 8)
         (n_bits,) = struct.unpack_from("<Q", buf, offset)
         offset += 8
-        n_words = (n_bits + 63) // 64
-        n_samples = (n_words + WORDS_PER_BLOCK - 1) // WORDS_PER_BLOCK
-        check_room(buf, offset, 8 * (n_words + n_samples))
-        words = np.frombuffer(buf, dtype="<u8", count=n_words, offset=offset)
-        offset += 8 * n_words
+        size = n_words(n_bits, 1)
+        n_samples = (size + WORDS_PER_BLOCK - 1) // WORDS_PER_BLOCK
+        check_room(buf, offset, 8 * (size + n_samples))
+        words = np.frombuffer(buf, dtype="<u8", count=size, offset=offset)
         # samples are recomputed by the constructor; skip over them
-        offset += 8 * n_samples
-        return cls(words, n_bits), offset
+        return cls(words, n_bits), offset + 8 * (size + n_samples)

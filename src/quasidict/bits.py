@@ -1,5 +1,5 @@
-"""Low-level 64-bit helpers: avalanche mixing, bit packing, sorted-array
-rules, bounds checks.
+"""Low-level 64-bit helpers: avalanche mixing, the packed-bits codec,
+sorted-array rules, bounds checks.
 
 Everything operates on numpy uint64 arrays; a scalar goes through a
 one-element array (see :func:`key_array`). numpy scalar uint64 arithmetic
@@ -22,6 +22,10 @@ MIX_MULT_2 = 0x94D049BB133111EB
 SEED_STREAM_INCREMENT = 0x9E3779B97F4A7C15
 
 DEFAULT_SEED = 0xA24BAED4963EE407
+
+# entries hashed, assigned or packed per step, so that no temporary grows with their count;
+# a multiple of 64, so that a chunk of packed entries of any width starts on a word boundary
+CHUNK = 2**16
 
 
 def key_array(key: int) -> np.ndarray:
@@ -48,10 +52,46 @@ def derive_seed(master_seed: int, index: int) -> int:
     return int(mix64(key_array(master_seed + (index + 1) * SEED_STREAM_INCREMENT))[0])
 
 
-def pack_bool_to_words(bits: np.ndarray) -> np.ndarray:
-    """Pack a 0/1 array into uint64 words, bit i at word[i >> 6] bit (i & 63)."""
-    raw = np.packbits(bits, bitorder="little")
-    return np.pad(raw, (0, -len(raw) % 8)).view("<u8")
+def n_words(n: int, width: int) -> int:
+    """The uint64 words that hold n entries of ``width`` bits."""
+    return (n * width + 63) // 64
+
+
+def pack(values: np.ndarray, width: int) -> np.ndarray:
+    """Entries below 2**width in zero-padded uint64 words, entry i at bits [i * width, (i + 1) * width).
+
+    The index file's one packed layout: width 1 for each perfect-hash level, f for the fingerprints.
+    Width 1 goes through ``np.packbits``, wider entries CHUNK at a time, each chunk from a word boundary.
+    In a chunk at most one entry straddles into any word: one ``reduceat`` places the low parts, one OR the high.
+    """
+    if width == 1:
+        raw = np.packbits(values, bitorder="little")
+        return np.pad(raw, (0, -len(raw) % 8)).view("<u8")
+    words = np.zeros(n_words(len(values), width), dtype=np.uint64)
+    for lo in range(0, len(values), CHUNK):
+        part = values[lo : lo + CHUNK]
+        bitpos = np.arange(len(part), dtype=np.uint64) * U64(width)
+        wi = (bitpos >> U64(6)).astype(np.int64) + lo * width // 64
+        off = bitpos & U64(63)
+        firsts = runs(wi)[0]
+        words[wi[firsts]] = np.bitwise_or.reduceat(part << off, firsts)
+        straddle = np.flatnonzero(off > U64(64 - width))
+        words[wi[straddle] + 1] |= part[straddle] >> (U64(64) - off[straddle])
+    return words
+
+
+def unpack(words: np.ndarray, width: int, idx: np.ndarray) -> np.ndarray:
+    """Entries ``idx`` of ``pack(values, width)``, as uint64: ``unpack(pack(v, w), w, i) == v[i]``."""
+    bitpos = idx.astype(np.uint64)
+    bitpos *= U64(width)
+    off = bitpos & U64(63)
+    wi = np.right_shift(bitpos, U64(6), out=bitpos).view(np.int64)
+    out = words[wi]
+    out >>= off
+    if 64 % width:  # an entry may straddle: the last word has no successor, and the mask drops the clamped read
+        out |= (words[np.minimum(wi + 1, len(words) - 1)] << U64(1)) << np.subtract(U64(63), off, out=off)
+    out &= U64((1 << width) - 1)
+    return out
 
 
 def changes(ordered: np.ndarray, out=None) -> np.ndarray:
@@ -69,6 +109,8 @@ def runs(ordered: np.ndarray, t: int = 1) -> tuple[np.ndarray, np.ndarray]:
     value t - 1 places on is the same one; its first such window starts the
     run and its last such window ends it.
     """
+    if t < 1:
+        raise ValueError(f"a run holds at least one value, got t = {t}")
     step = changes(ordered)
     n = max(len(ordered) - t + 1, 0)  # run starts that leave room for t equal values
     ends = ordered[:n] == ordered[t - 1 :]

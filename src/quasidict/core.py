@@ -10,8 +10,8 @@ about 2**-f. There are no false negatives.
 When f equals twice the k-mer length the "fingerprint" is the raw 2k-bit
 key code itself, which is injective over k-mer codes: the structure is
 then exact (zero false positives) while still far smaller than a hash
-table. The fingerprint array packs entries contiguously, N*f bits total,
-entries straddling word boundaries where they must.
+table. The fingerprint array is ``bits.pack`` at width f: N*f bits, entries
+straddling word boundaries where they must.
 """
 
 from __future__ import annotations
@@ -20,9 +20,9 @@ import struct
 
 import numpy as np
 
-from .bits import DEFAULT_SEED, MIX_MULT_1, MIX_MULT_2, U64, check_room, key_array, mix64
+from .bits import CHUNK, DEFAULT_SEED, MIX_MULT_1, MIX_MULT_2, U64, check_room, key_array, mix64, n_words, pack, unpack
 from .kmer import check_k
-from .mphf import CHUNK, NOT_FOUND, Mphf
+from .mphf import NOT_FOUND, Mphf
 
 _MAGIC = b"QDIC"
 _VERSION = 1
@@ -59,29 +59,6 @@ def fingerprint_array(keys: np.ndarray, f: int, k: int = 31, seed: int = DEFAULT
     return mix64(keys ^ U64(_fp_seed(seed))) & U64(_fp_mask(f))
 
 
-def _pack_entries(values: np.ndarray, f: int) -> np.ndarray:
-    """Pack entries below 2**f contiguously into uint64 words (N*f bits total).
-
-    The inverse of :meth:`QuasiDictionary._stored_fingerprints`. Packed CHUNK
-    entries at a time; CHUNK is a multiple of 64, so each chunk starts and
-    every chunk but the last ends on a word boundary. Within a chunk, entries
-    start in non-decreasing words and at most one straddles into any word, so
-    one ``reduceat`` places the low parts and one plain OR the straddling high parts.
-    """
-    words = np.zeros((len(values) * f + 63) // 64, dtype=np.uint64)
-    for lo in range(0, len(values), CHUNK):
-        part = values[lo : lo + CHUNK]
-        bitpos = np.arange(len(part), dtype=np.uint64) * U64(f)
-        wi = (bitpos >> U64(6)).astype(np.int64)
-        wi += lo * f // 64
-        off = bitpos & U64(63)
-        firsts = np.flatnonzero(np.diff(wi, prepend=-1))
-        words[wi[firsts]] = np.bitwise_or.reduceat(part << off, firsts)
-        straddle = np.flatnonzero(off > U64(64 - f))
-        words[wi[straddle] + 1] |= part[straddle] >> (U64(64) - off[straddle])
-    return words
-
-
 class QuasiDictionary:
     """Membership-checked index over a static key set; immutable after create."""
 
@@ -116,18 +93,7 @@ class QuasiDictionary:
         by_slot = np.empty(len(keys), dtype=np.uint64)
         for lo in range(0, len(keys), CHUNK):
             by_slot[slots[lo : lo + CHUNK]] = fingerprint_array(keys[lo : lo + CHUNK], f, k, seed)
-        return cls(mphf, _pack_entries(by_slot, f), len(keys), f, k, seed)
-
-    def _stored_fingerprints(self, idx: np.ndarray) -> np.ndarray:
-        bitpos = idx.astype(np.uint64) * U64(self.f)
-        wi = (bitpos >> U64(6)).astype(np.int64)
-        off = bitpos & U64(63)
-        # the last word has no successor; an entry there does not straddle, and
-        # the f-bit mask drops whatever the clamped read brings in
-        nxt = np.minimum(wi + 1, len(self.fg_words) - 1)
-        lo = self.fg_words[wi] >> off
-        hi = (self.fg_words[nxt] << U64(1)) << (U64(63) - off)
-        return (lo | hi) & U64(_fp_mask(self.f))
+        return cls(mphf, pack(by_slot, f), len(keys), f, k, seed)
 
     def query(self, key: int) -> int:
         """Dense index for an indexed key; -1 for (most) everything else."""
@@ -138,7 +104,7 @@ class QuasiDictionary:
         keys = np.ascontiguousarray(keys, dtype=np.uint64)
         idx = self.mphf.lookup_array(keys)
         found = np.flatnonzero(idx >= 0)
-        stored = self._stored_fingerprints(idx[found])
+        stored = unpack(self.fg_words, self.f, idx[found])
         idx[found[stored != fingerprint_array(keys[found], self.f, self.k, self.seed)]] = NOT_FOUND
         return idx
 
@@ -195,8 +161,8 @@ class QuasiDictionary:
             raise ValueError(f"perfect hash seed {mphf.seed:#018x} differs from the header's {seed:#018x}")
         if offset != _HEAD.size + mphf_len:
             raise ValueError(f"perfect hash spans {offset - _HEAD.size} bytes, header says {mphf_len}")
-        n_words = (n_keys * f + 63) // 64
-        if offset + 8 * n_words != len(buf):
-            raise ValueError(f"expected {offset + 8 * n_words} bytes, got {len(buf)}")
-        fg = np.frombuffer(buf, dtype="<u8", count=n_words, offset=offset)
+        size = n_words(n_keys, f)
+        if offset + 8 * size != len(buf):
+            raise ValueError(f"expected {offset + 8 * size} bytes, got {len(buf)}")
+        fg = np.frombuffer(buf, dtype="<u8", count=size, offset=offset)
         return cls(mphf, fg, n_keys, f, k, seed)

@@ -56,7 +56,7 @@ class LinkerIndex:
         self.n_targets = n_targets
 
 
-def _runs(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
+def _spans(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
     """The indices of the runs ``[starts[i], starts[i] + lens[i])``, one run after another."""
     return np.arange(lens.sum()) + np.repeat(starts - np.cumsum(lens) + lens, lens)
 
@@ -76,7 +76,7 @@ def _group_postings(codes: np.ndarray, reads: np.ndarray, t: int) -> tuple[np.nd
     codes = codes[order]
     start, size = runs(codes, t)
     solid = codes[start]
-    key = reads[order[_runs(start, size)]].astype(np.int64)
+    key = reads[order[_spans(start, size)]].astype(np.int64)
     del codes, reads, order
     key |= np.repeat(np.arange(len(size), dtype=np.int64) << 31, size)
     key.sort()
@@ -117,7 +117,7 @@ def build_linker_index(
     np.cumsum(offsets, out=offsets)
     moved = np.empty(offsets[-1], dtype=np.int32)
     for group_slots, group_lens, part in zip(np.split(slots, np.cumsum([len(x) for x in lens])), lens, ids):
-        moved[_runs(offsets[group_slots], group_lens)] = part
+        moved[_spans(offsets[group_slots], group_lens)] = part
     return LinkerIndex(qd, offsets, moved, k, n_targets)
 
 
@@ -153,7 +153,7 @@ def link_reads(
         hit = slots >= 0
         starts = index.offsets[slots[hit]]
         lens = index.offsets[slots[hit] + 1] - starts
-        tgt = index.ids[_runs(starts, lens)]
+        tgt = index.ids[_spans(starts, lens)]
         # one incidence per (query position, bank read in that k-mer's posting list), keyed
         # ((read << tb | target) << sb) | position with 2^sb > L, the batch's longest read, and sorted
         # once: one run per pair. n reads have n · (L + 1) <= 2^16 (kcount.BATCH_BASES) and n_targets
@@ -163,14 +163,13 @@ def link_reads(
         row = np.repeat(np.arange(len(batch)), sizes)[hit]
         key = np.repeat(row << (tb + sb) | positions[hit], lens) | tgt << np.int64(sb)
         key.sort()
-        # a pair sharing fewer than threshold k-mer positions, or an excluded self pair, is never reported
-        firsts = np.flatnonzero(np.diff(key >> sb, prepend=-1))
-        shared = np.diff(firsts, append=len(key))
+        # a pair sharing fewer than threshold k-mer positions (at least 1), or an excluded self pair, is never reported
+        firsts, shared = runs(key >> sb, max(threshold, 1))
         query, target = key[firsts] >> sb + tb, key[firsts] >> sb & (1 << tb) - 1
-        kept = shared >= threshold
         if exclude_self:  # one pair per query read at most, so no other pair changes
-            kept &= target != np.array([read.id for read in batch])[query]
-        key, query, target = key[np.repeat(kept, shared)], query[kept], target[kept]
+            kept = np.flatnonzero(target != np.array([read.id for read in batch])[query])
+            firsts, shared, query, target = firsts[kept], shared[kept], query[kept], target[kept]
+        key = key[_spans(firsts, shared)]
         w = L if window is None else min(window, L)
         best, win_starts = _best_windows(key, L, w, index.k)
         good = np.flatnonzero(best >= threshold)
@@ -204,7 +203,7 @@ def _best_windows(key: np.ndarray, L: int, w: int, k: int) -> tuple[np.ndarray, 
     # (below 2^63 while L < 2^32), so one max gives the best score and its smallest start. Whole-read
     # mode is w = L. L is the batch's longest read: a shorter one is uncovered past its end.
     pos = start & (1 << L.bit_length()) - 1
-    firsts = np.flatnonzero(np.diff(start - pos, prepend=-1))  # each pair's first run
+    firsts = runs(start - pos)[0]  # each pair's first run
     base = start[firsts] - pos[firsts]
     cb = (L - w).bit_length()
     c = covered_below(base + [[0], [w], [L - w], [L]])

@@ -23,7 +23,7 @@ import struct
 import numpy as np
 
 from .bitrank import RankBitVector
-from .bits import DEFAULT_SEED, U64, changes, check_room, derive_seed, locate, mix64
+from .bits import CHUNK, DEFAULT_SEED, U64, changes, check_room, derive_seed, locate, mix64
 
 NOT_FOUND = -1
 MAX_LEVELS = 64
@@ -31,11 +31,6 @@ MAX_LEVELS = 64
 # beyond this expansion factor the perfect hash alone costs more bits per key
 # than the 64-bit keys it stands for
 MAX_GAMMA = 64
-
-# keys hashed, and slots assigned, per step of construction, so that no temporary
-# grows with the key count; a multiple of 64, so that a chunk of packed f-bit
-# entries starts on a word boundary (see core._pack_entries)
-CHUNK = 2**16
 
 # below this many survivors a cascade level costs more serialized bytes than
 # exact (key, index) fallback pairs, so stop cascading early

@@ -22,7 +22,7 @@ def distinct_draw(rng, size, bits=62):
 
 
 def words_to_bool(words, n_bits):
-    """Inverse of ``bits.pack_bool_to_words``: bit i is word[i >> 6] bit (i & 63)."""
+    """Inverse of ``bits.pack`` at width 1: bit i is word[i >> 6] bit (i & 63)."""
     as_bytes = np.frombuffer(np.ascontiguousarray(words).tobytes(), dtype=np.uint8)
     return np.unpackbits(as_bytes, bitorder="little")[:n_bits].astype(bool)
 

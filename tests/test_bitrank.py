@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from quasidict.bitrank import RankBitVector
-from quasidict.bits import pack_bool_to_words
+from quasidict.bits import pack
 
 from conftest import words_to_bool
 
@@ -67,9 +67,11 @@ def test_overhead_budget():
 
 
 def test_pack_roundtrip():
+    """At width 1, bits.pack takes bool or 0/1 entries alike and words_to_bool reads them back."""
     rng = np.random.default_rng(11)
     bits = rng.random(777) < 0.3
-    words = pack_bool_to_words(bits)
+    words = pack(bits, 1)
+    assert words.tolist() == pack(bits.astype(np.uint64), 1).tolist()
     back = words_to_bool(words, 777)
     assert (back == bits).all()
 

@@ -9,14 +9,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from quasidict import core, mphf
-from quasidict.bits import DEFAULT_SEED
-from quasidict.core import (
-    NOT_FOUND,
-    QuasiDictionary,
-    _pack_entries,
-    fingerprint_array,
-)
+from quasidict import bits, core, mphf
+from quasidict.bits import DEFAULT_SEED, n_words, pack, unpack
+from quasidict.core import NOT_FOUND, QuasiDictionary, fingerprint_array
 
 from conftest import distinct_draw
 
@@ -76,14 +71,15 @@ def test_fingerprint_mixed_mode_differs_from_key():
 
 
 def test_pack_entries_bit_exact():
+    """bits.pack lays entry i at bits [i * f, (i + 1) * f) of little-endian words."""
     rng = np.random.default_rng(4)
     for f in (1, 3, 12, 17, 33, 64):
         n = int(rng.integers(1, 400))
         values = rng.integers(0, 1 << min(f, 63), size=n, dtype=np.uint64)
         if f == 64:
             values |= rng.integers(0, 2, size=n, dtype=np.uint64) << np.uint64(63)
-        words = _pack_entries(values, f)
-        assert len(words) == (n * f + 63) // 64
+        words = pack(values, f)
+        assert len(words) == n_words(n, f)
         # oracle: read each entry back out of one big int
         big = int.from_bytes(words.astype("<u8").tobytes(), "little")
         mask = (1 << f) - 1
@@ -98,7 +94,7 @@ def test_singleton_create_and_query():
     x = 0x1234ABCD
     qd = QuasiDictionary.create(np.array([x], dtype=np.uint64), f=12)
     assert qd.query(x) == 0
-    stored = qd._stored_fingerprints(np.array([0]))[0]
+    stored = unpack(qd.fg_words, 12, np.array([0]))[0]
     assert stored == fingerprint_array(np.array([x], dtype=np.uint64), 12)[0]
 
 
@@ -139,7 +135,7 @@ def test_fingerprint_payload_is_exactly_n_times_f():
     for f in (5, 12, 33):
         qd = QuasiDictionary.create(keys, f=f)
         assert qd.fingerprint_bits() == len(keys) * f
-        assert len(qd.fg_words) == (len(keys) * f + 63) // 64
+        assert len(qd.fg_words) == n_words(len(keys), f)
 
 
 def test_structure_size_budget_f12():
@@ -230,8 +226,8 @@ def test_chunks_are_invisible(monkeypatch, chunk):
             slots = np.empty(n, dtype=np.int64)
             blob = QuasiDictionary.create(keys, f=f, gamma=gamma, slots=slots).serialize()
             cases.append((keys, f, gamma, slots, blob))
-    monkeypatch.setattr(mphf, "CHUNK", chunk)
-    monkeypatch.setattr(core, "CHUNK", chunk)
+    for module in (bits, mphf, core):
+        monkeypatch.setattr(module, "CHUNK", chunk)
     for keys, f, gamma, slots, blob in cases:
         got = np.empty(len(keys), dtype=np.int64)
         assert QuasiDictionary.create(keys, f=f, gamma=gamma, slots=got).serialize() == blob

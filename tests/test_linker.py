@@ -372,7 +372,7 @@ def test_threshold_gates_on_shared_kmers_and_score(tmp_path):
     index = build_linker_index(bank, k=k, t=t, f=18)
     solid = solid_set(seqs, k, t)
     kms = [kmer_set(s, k) & solid for s in seqs]
-    for threshold in (5, 12, 20):
+    for threshold in (-2, 0, 5, 12, 20):
         for qi in range(12):
             got = {
                 m.target_id: m.score
@@ -386,7 +386,8 @@ def test_threshold_gates_on_shared_kmers_and_score(tmp_path):
                     continue
                 n_shared = shared_positions_oracle(seqs[qi], kms[ti], k, solid)
                 score = sum(coverage_oracle(seqs[qi], kms[ti], k, solid))
-                if n_shared >= threshold and score >= threshold:
+                # a link shares at least one position, so a threshold below 1 gates as 1 does
+                if n_shared >= max(threshold, 1) and score >= threshold:
                     want[ti] = score
             assert got == want, f"threshold={threshold} query={qi}"
 

@@ -28,13 +28,15 @@ from quasidict.bits import (
     distinct,
     locate,
     mix64,
+    n_words,
+    pack,
     runs,
+    unpack,
 )
 from quasidict.core import (
     _FINGERPRINT_TAG,
     QuasiDictionary,
     _fp_mask,
-    _pack_entries,
     fingerprint_array,
 )
 from quasidict.counter import CountStats, build_counter_index, count_read
@@ -134,15 +136,15 @@ def test_duplicates_are_rejected_with_the_smallest(keylist, copies, shuffle):
 @settings(deadline=None, max_examples=20)
 @given(data=st.data())
 def test_pack_entries_is_inverse_of_stored_fingerprints(f, data):
+    """bits.unpack reads back each entry bits.pack stored, at every width the fingerprints may take."""
     aligned = 64 // math.gcd(64, f)  # fewest entries whose N*f bits fill whole words
     n = data.draw(st.integers(1, 300))
     values = data.draw(arrays(np.uint64, max(n, aligned + 1), elements=st.integers(0, (1 << f) - 1)))
     # one entry, N*f on a word boundary, one entry past it, and a drawn count
     for m in (1, aligned, aligned + 1, n):
-        words = _pack_entries(values[:m], f)
-        assert len(words) == (m * f + 63) // 64
-        qd = QuasiDictionary(None, words, m, f, k=31, seed=0)
-        assert qd._stored_fingerprints(np.arange(m)).tolist() == values[:m].tolist()
+        words = pack(values[:m], f)
+        assert len(words) == n_words(m, f)
+        assert unpack(words, f, np.arange(m)).tolist() == values[:m].tolist()
 
 
 @settings(deadline=None, max_examples=60)
@@ -263,6 +265,13 @@ def test_runs_match_counter(value_counts, t, dtype):
     first, lengths = runs(np.array(values, dtype=dtype), t)
     counts = sorted((v, n) for v, n in Counter(values).items() if n >= t)
     assert list(zip(first.tolist(), lengths.tolist())) == [(values.index(v), n) for v, n in counts]
+
+
+@pytest.mark.parametrize("t", [0, -2])
+def test_runs_reject_a_threshold_below_one(t):
+    # at t = 0 the window compare would broadcast each value against the last one
+    with pytest.raises(ValueError, match="at least one"):
+        runs(np.array([1, 1, 2], dtype=np.uint64), t)
 
 
 @settings(deadline=None, max_examples=150)
