@@ -36,7 +36,7 @@ from .kcount import COUNT_CAP, count_solid
 from .kmer import MAX_K
 from .linker import DEFAULT_LINK_THRESHOLD, run_linker
 from .mphf import MAX_GAMMA
-from .seqio import open_file_of_files, open_reads
+from .seqio import open_file_of_files
 
 _VERSION_TEXT = (
     f"qd {__version__} "
@@ -212,7 +212,7 @@ def stats_run(args) -> dict:
     rng = np.random.default_rng(args.seed)
     n_codes = 1 << (2 * args.k)
     if args.b is not None:
-        table = count_solid(open_reads(args.b), args.k, args.t)
+        table = count_solid(args.b, args.k, args.t)
         keys = table.codes
     else:
         if not 0 <= args.random_keys <= n_codes:

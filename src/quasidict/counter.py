@@ -52,7 +52,7 @@ def build_counter_index(
     seed: int = DEFAULT_SEED,
 ) -> CounterIndex:
     """Index the bank's solid k-mers; each slot stores the k-mer's count."""
-    table = count_solid(open_reads(bank_path), k, t)
+    table = count_solid(bank_path, k, t)
     slots = np.empty(len(table), dtype=np.int64)
     qd = QuasiDictionary.create(table.codes, f=f, gamma=gamma, k=k, seed=seed, slots=slots)
     counts = np.empty(len(table), dtype=np.uint8)

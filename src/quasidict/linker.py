@@ -25,7 +25,7 @@ import numpy as np
 
 from .bits import DEFAULT_SEED, changes, runs
 from .core import QuasiDictionary
-from .kcount import check_k_t, scan_batches, spill_groups
+from .kcount import check_k_t, scan_bank, scan_batches, spill_groups
 from .kmer import code_word, scan_kmers  # noqa: F401 (bench/tests checks that the tracer wraps scan_kmers here)
 from .seqio import ReadRecord, open_reads
 
@@ -97,9 +97,8 @@ def build_linker_index(
 
     def batches():
         nonlocal n_targets
-        for batch, positions, codes, sizes in scan_batches(open_reads(bank_path), k):
-            del positions  # the query loop's column: not held while the spill partitions the batch
-            first, n_targets = n_targets, n_targets + len(batch)
+        for n, codes, sizes in scan_bank(bank_path, k):
+            first, n_targets = n_targets, n_targets + n
             if n_targets > MAX_BANK_READS:
                 raise ValueError(f"bank holds more than {MAX_BANK_READS} reads; read ids are int32")
             yield codes, np.repeat(np.arange(first, n_targets, dtype=np.int32), sizes)

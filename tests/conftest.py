@@ -1,10 +1,15 @@
 """Shared fixture helpers: distinct random keys, unpacked bit words, the
-string oracle of canonical k-mer codes, synthetic read sets with genuine
-k-mer overlap, damaged gzip."""
+string oracle of canonical k-mer codes, the line-by-line oracle of the read
+parser, synthetic read sets with genuine k-mer overlap, damaged gzip."""
 
 import gzip
+import re
+import zlib
+from itertools import chain, zip_longest
 
 import numpy as np
+
+from quasidict.seqio import ParseError, ReadRecord
 
 BASES = np.array(list("ACGT"))
 
@@ -38,6 +43,61 @@ def window_oracle(seq, k):
             rc = w[::-1].translate(complement)
             out.append((i, min(int(w.translate(digits), 4), int(rc.translate(digits), 4))))
     return out
+
+
+_HEADER_WORD = re.compile(r"[\t\n\v\f\r\x1c-\x1f ]*([^\t\n\v\f\r\x1c-\x1f ]*)")
+
+
+def reads_oracle(path):
+    """The records of a FASTA or FASTQ file, plain or gzip, read line by line in text mode with universal
+    newlines (a line ends at \\n, \\r\\n or a lone \\r): the reference for ``seqio.open_reads``."""
+    with open(path, "rb") as fh:
+        gzipped = fh.read(2) == b"\x1f\x8b"
+    with (gzip.open if gzipped else open)(path, "rt", encoding="latin-1") as fh:
+        try:
+            first = fh.read(1)
+            if first == "":
+                return
+            fh.seek(0)
+            if first == ">":
+                yield from _fasta_oracle(path, fh)
+            elif first == "@":
+                yield from _fastq_oracle(path, fh)
+            else:
+                raise ParseError(path, 1, f"unrecognized first byte {first!r}; expected '>' or '@'")
+        except (EOFError, zlib.error, gzip.BadGzipFile) as exc:
+            raise ParseError(path, None, f"damaged gzip data: {exc}") from exc
+
+
+def _fasta_oracle(path, fh):
+    rid, header, header_line, chunks = 0, _HEADER_WORD.match(fh.readline(), 1).group(1), 1, []
+    for lineno, line in enumerate(chain(fh, [">"]), start=2):
+        line = line.rstrip("\n")
+        if line.startswith(">"):
+            seq = "".join(chunks)
+            if not seq:
+                raise ParseError(path, header_line, "record has empty sequence")
+            yield ReadRecord(rid, header, seq)
+            rid, header, header_line, chunks = rid + 1, _HEADER_WORD.match(line, 1).group(1), lineno, []
+        elif line:
+            chunks.append(line)
+
+
+def _fastq_oracle(path, fh):
+    lines = (line.rstrip("\n") for line in fh)
+    for rid, (head, seq, plus, qual) in enumerate(zip_longest(lines, lines, lines, lines)):
+        lineno = 4 * rid + 1
+        if not head.startswith("@"):
+            raise ParseError(path, lineno, "expected '@' header line")
+        if qual is None:
+            raise ParseError(path, lineno, "truncated record (need 4 lines)")
+        if not seq:
+            raise ParseError(path, lineno + 1, "record has empty sequence")
+        if not plus.startswith("+"):
+            raise ParseError(path, lineno + 2, "expected '+' separator line")
+        if len(qual) != len(seq):
+            raise ParseError(path, lineno + 3, "quality length differs from sequence length")
+        yield ReadRecord(rid, _HEADER_WORD.match(head, 1).group(1), seq)
 
 
 def random_genome(rng, length):

@@ -212,7 +212,11 @@ def test_build_scans_the_bank_once(tmp_path, monkeypatch):
         return wrapper
 
     # every module binding is wrapped, so no import path escapes the count
-    for name, modules in (("open_reads", (seqio, linker)), ("scan_kmers", (kmer, kcount, linker))):
+    for name, modules in (
+        ("open_reads", (seqio, linker)),
+        ("read_blocks", (seqio, kcount)),
+        ("scan_kmers", (kmer, kcount, linker)),
+    ):
         wrapped = counted(name, getattr(modules[0], name))
         for mod in modules:
             monkeypatch.setattr(mod, name, wrapped)
@@ -220,7 +224,8 @@ def test_build_scans_the_bank_once(tmp_path, monkeypatch):
     monkeypatch.setattr(kcount, "BATCH_BASES", 100)  # several batches, several joins
     index = build_linker_index(bank, k=9, t=1, f=12)
     assert index.n_targets == len(seqs)
-    assert calls["open_reads"] == 1
+    # the bank is read once, as blocks, with no record view
+    assert (calls["read_blocks"], calls["open_reads"]) == (1, 0)
     # every bank base is scanned once, plus one separator per join within a batch
     assert len(scanned) > 1
     assert sum(scanned) == sum(map(len, seqs)) + len(seqs) - len(scanned)
