@@ -11,15 +11,17 @@ lines stay one-to-one with query reads.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, TextIO
+from itertools import count
+from typing import Iterable, Optional, TextIO
 
 import numpy as np
 
 from .bits import DEFAULT_SEED
 from .core import QuasiDictionary
 from .kcount import count_solid, scan_batches
-from .kmer import scan_kmers  # noqa: F401 (bench/tests checks that the tracer wraps this binding)
-from .seqio import ReadRecord, open_reads
+from .kmer import scan_kmers
+from .seqio import ReadRecord
+from .seqio import open_reads  # noqa: F401 (bench/tests checks that the tracer wraps this binding)
 
 
 @dataclass
@@ -62,35 +64,34 @@ def build_counter_index(
 
 def count_read(index: CounterIndex, read: ReadRecord) -> Optional[CountStats]:
     """Stats over the retrieved counts, or None when no k-mer was indexed."""
-    return next(count_reads(index, [read]))[1]
+    codes = scan_kmers(read.seq, index.k)[1]
+    return _count_batch(index, read.id, codes, np.array([len(codes)]))[0]
 
 
-def count_reads(
-    index: CounterIndex, reads: Iterable[ReadRecord]
-) -> Iterator[tuple[ReadRecord, Optional[CountStats]]]:
-    """``(read, count_read(index, read))`` for each read in order, one query per batch of reads."""
-    for batch, _, codes, sizes in scan_batches(reads, index.k):
-        slots = index.qd.query_array(codes)
-        hit = slots >= 0
-        row = np.repeat(np.arange(len(batch)), sizes)[hit]
-        values = index.counts[slots[hit]]
-        n = np.bincount(row, minlength=len(batch))
-        # exact integer sums, so sum / n is the float values.mean() gives
-        mean = np.bincount(row, weights=values, minlength=len(batch)) / np.maximum(n, 1)
-        # counts ascending within each read, reads in batch order
-        ordered = (np.sort(row << 8 | values) & 255).tolist()
-        for read, c, m, i in zip(batch, n.tolist(), mean.tolist(), (np.cumsum(n) - n).tolist()):
-            if c == 0:
-                yield read, None
-            else:  # the lower median keeps the output integral
-                yield read, CountStats(read.id, c, m, ordered[i + (c - 1) // 2], ordered[i], ordered[i + c - 1])
+def _count_batch(index: CounterIndex, first: int, codes, sizes) -> list[Optional[CountStats]]:
+    """``count_read``'s result for each read of a scanned batch whose first read id is ``first``, with one
+    query for the batch (``kcount.scan_batches``)."""
+    slots = index.qd.query_array(codes)
+    hit = slots >= 0
+    row = np.repeat(np.arange(len(sizes)), sizes)[hit]
+    values = index.counts[slots[hit]]
+    n = np.bincount(row, minlength=len(sizes))
+    # exact integer sums, so sum / n is the float values.mean() gives
+    mean = np.bincount(row, weights=values, minlength=len(sizes)) / np.maximum(n, 1)
+    # counts ascending within each read, reads in batch order
+    ordered = (np.sort(row << 8 | values) & 255).tolist()
+    # the lower median keeps the output integral
+    return [
+        CountStats(rid, c, m, ordered[i + (c - 1) // 2], ordered[i], ordered[i + c - 1]) if c else None
+        for rid, c, m, i in zip(count(first), n.tolist(), mean.tolist(), (np.cumsum(n) - n).tolist())
+    ]
 
 
-def format_count_line(read: ReadRecord, stats: Optional[CountStats]) -> str:
+def format_count_line(read_id: int, header: str, stats: Optional[CountStats]) -> str:
     if stats is None:
-        return f"{read.id}\t{read.header}\t0\tnone"
+        return f"{read_id}\t{header}\t0\tnone"
     return (
-        f"{read.id}\t{read.header}\t{stats.n_indexed}\t{stats.mean:.2f}"
+        f"{read_id}\t{header}\t{stats.n_indexed}\t{stats.mean:.2f}"
         f"\t{stats.median}\t{stats.min_count}\t{stats.max_count}"
     )
 
@@ -108,5 +109,6 @@ def run_counter(
     """Whole pipeline: one output line per query read, in input order."""
     index = build_counter_index(bank_path, k=k, t=t, f=f, gamma=gamma, seed=seed)
     for path in query_paths:
-        for read, stats in count_reads(index, open_reads(path)):
-            out.write(format_count_line(read, stats) + "\n")
+        for first, _, names, _, codes, sizes in scan_batches(path, index.k, names=True):
+            for rid, header, stats in zip(count(first), names, _count_batch(index, first, codes, sizes)):
+                out.write(format_count_line(rid, header, stats) + "\n")

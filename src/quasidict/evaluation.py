@@ -15,6 +15,7 @@ their harmonic mean.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable
@@ -160,10 +161,17 @@ def _id_pair(line: str) -> tuple[int, int]:
     return a, b
 
 
+# one link of a linker line: <target id>-<score>[@<start>]
+_LINK = re.compile(r"([0-9]+)-[0-9]+(?:@[0-9]+)?")
+
+
 def _links(line: str) -> list[tuple[int, int]]:
-    qid_text, _, rest = line.partition(":")
+    qid_text, colon, rest = line.partition(":")
+    links = [_LINK.fullmatch(item) for item in rest.split()]
+    if not colon or None in links:
+        raise ValueError
     qid = int(qid_text)
-    return [(qid, int(item.split("-", 1)[0])) for item in rest.split()]
+    return [(qid, int(link[1])) for link in links]
 
 
 def load_truth(path: str) -> set:

@@ -9,9 +9,10 @@ the >= t filter so the solidity decision never saturates away (t <= 255).
 Neither read tool holds the bank: :func:`spill_groups` spills each batch's
 codes (and the linker's read ids) cut into ranges of codes, and reads back
 a group of ranges at a time, which :func:`count_solid` counts on its own (a
-partitioned pass after DSK, Rizk, Lavenier and Chikhi 2013). The bank is
-scanned from the parser's byte blocks (:func:`scan_bank`), with no record
-per read, as KMC 2 (Deorowicz et al. 2015) reads its input.
+partitioned pass after DSK, Rizk, Lavenier and Chikhi 2013). Every read
+file, bank or queries, is scanned from the parser's byte blocks by one
+generator (:func:`scan_batches`), with no record per read, as KMC 2
+(Deorowicz et al. 2015) reads its input.
 """
 
 from __future__ import annotations
@@ -22,14 +23,13 @@ import tempfile
 from contextlib import ExitStack
 from dataclasses import dataclass
 from itertools import chain
-from operator import attrgetter
 from typing import Iterable, Iterator
 
 import numpy as np
 
 from .bits import U64, check_room, distinct
 from .kmer import check_k, code_word, scan_kmers
-from .seqio import ReadRecord, read_blocks
+from .seqio import read_blocks
 
 _MAGIC = b"SKMT"
 _HEAD = struct.Struct("<4sIIQ")
@@ -37,7 +37,7 @@ _HEAD = struct.Struct("<4sIIQ")
 COUNT_CAP = 255
 
 # bases and separators per scanned batch of reads; sets the read tools' memory
-# and bounds the linker's query key (see linker.link_reads)
+# and bounds the linker's query key (see linker._link_batch)
 BATCH_BASES = 2**16
 
 # the bank's spill is cut into 2^RANGE_BITS ranges of codes by their top bits
@@ -105,19 +105,21 @@ def batch_ranges(lengths: np.ndarray) -> Iterator[tuple[int, int]]:
         lo += max(fit, 1)
 
 
-def _scan_blocks(blocks: Iterable[tuple[str, np.ndarray]], k: int) -> Iterator[tuple]:
-    """The reads of consecutive blocks ``(seq, lengths)``, each block's sequences joined with one
-    separator, scanned in the batches of :func:`batch_ranges` as if the stream were one block: a
-    block's last batch waits for the next block, whose first reads it may take. Yields ``(lo, hi,
-    starts, positions, codes, sizes)``: the batch's reads, counted over the stream, each read's start
-    and each k-mer's start in the batch's joined sequence, the canonical codes in read order, the
-    k-mers per read."""
-    seq, lengths, base = "", np.empty(0, np.int64), 0
-    for block in chain(blocks, [None]):
+def scan_batches(path: str | os.PathLike, k: int, names: bool = False) -> Iterator[tuple]:
+    """The reads of a read file, read as blocks with no record (``seqio.read_blocks``), in the batches of
+    :func:`batch_ranges` as if the file were one block: a block's last batch waits for the next block,
+    whose first reads it may take. A batch's reads are joined with one separator, so no valid window
+    spans two reads, and scanned in one call. Yields ``(first, lengths, names, positions, codes, sizes)``:
+    the batch's first read id, its reads' lengths, their header words (none unless ``names`` is set),
+    each k-mer's start in the batch's joined sequence, the canonical codes in read order, the k-mers per
+    read."""
+    seq, lengths, words, base = "", np.empty(0, np.int64), [], 0
+    for block in chain(read_blocks(path), [None]):
         more = block is not None
         if more:
-            seq = f"{seq}N{block[0]}" if len(lengths) else block[0]
-            lengths = np.concatenate((lengths, block[1]))
+            seq = f"{seq}N{block.seq}" if len(lengths) else block.seq
+            lengths = np.concatenate((lengths, block.lengths))
+            words += block.names() if names else []
             del block  # its bases are in seq now: not held twice while the batches are scanned
         ranges = list(batch_ranges(lengths))
         if more:
@@ -125,10 +127,10 @@ def _scan_blocks(blocks: Iterable[tuple[str, np.ndarray]], k: int) -> Iterator[t
         offsets = np.append(np.cumsum(lengths + 1) - lengths - 1, len(seq) + 1)
         for lo, hi in ranges:
             starts = offsets[lo:hi] - offsets[lo]
-            yield base + lo, base + hi, starts, *_scan(seq[offsets[lo] : offsets[hi] - 1], starts, k)
+            yield base + lo, lengths[lo:hi], words[lo:hi], *_scan(seq[offsets[lo] : offsets[hi] - 1], starts, k)
         if ranges:
             cut = ranges[-1][1]
-            seq, lengths, base = seq[offsets[cut] :], lengths[cut:], base + cut
+            seq, lengths, words, base = seq[offsets[cut] :], lengths[cut:], words[cut:], base + cut
 
 
 def _scan(seq: str, starts: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -138,43 +140,6 @@ def _scan(seq: str, starts: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray,
     return positions, codes, np.diff(np.searchsorted(positions, starts), append=len(positions))
 
 
-def scan_batches(reads: Iterable[ReadRecord], k: int) -> Iterator[tuple]:
-    """A read stream in the batches of :func:`batch_ranges`, each joined with one N so no valid window
-    spans two reads and scanned in one call. Yields ``(batch, positions, codes, sizes)``: the reads,
-    each k-mer's start within its read, the canonical codes in read order, the k-mers per read."""
-    pending, base = [], 0
-
-    def blocks():
-        """The reads in blocks of at least BATCH_BASES bases and separators, kept in ``pending``."""
-        block, size = [], 0
-        for read in chain(reads, [None]):
-            if read is not None:
-                block.append(read)
-                size += len(read.seq) + 1
-            if block and (read is None or size >= BATCH_BASES):
-                pending.extend(block)
-                seqs = [record.seq for record in block]
-                yield "N".join(seqs), np.array(list(map(len, seqs)), dtype=np.int64)
-                block, size = [], 0
-
-    for lo, hi, starts, positions, codes, sizes in _scan_blocks(blocks(), k):
-        batch = pending[lo - base : hi - base]
-        del pending[: hi - base]
-        base = hi
-        positions -= np.repeat(starts, sizes)
-        yield batch, positions, codes, sizes
-
-
-def scan_bank(path: str, k: int) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-    """The reads of a read file in the batches of :func:`batch_ranges`, read as blocks with no record
-    (``seqio.read_blocks``). Yields ``(n, codes, sizes)``: the batch's read count, the canonical codes in
-    read order, the k-mers per read."""
-    blocks = map(attrgetter("seq", "lengths"), read_blocks(path))  # holds no block between batches
-    for lo, hi, _, positions, codes, sizes in _scan_blocks(blocks, k):
-        del positions  # the query loop's column: not held while the spill partitions the batch
-        yield hi - lo, codes, sizes
-
-
 def solid_table(codes: np.ndarray, k: int, t: int) -> SolidKmerTable:
     """Distinct codes occurring at least t times in ``codes``, with capped counts."""
     check_k_t(k, t)
@@ -182,15 +147,13 @@ def solid_table(codes: np.ndarray, k: int, t: int) -> SolidKmerTable:
     return SolidKmerTable(solid, np.minimum(counts, COUNT_CAP).astype(np.uint8), k, t)
 
 
-def count_solid(reads: Iterable[ReadRecord] | str | os.PathLike, k: int, t: int) -> SolidKmerTable:
-    """Count canonical k-mers over a read stream, or over the read file at a path (:func:`scan_bank`),
-    and keep those seen >= t times, one spilled group at a time (:func:`spill_groups`); the group
-    tables join into the sorted table with no sort."""
+def count_solid(path: str | os.PathLike, k: int, t: int) -> SolidKmerTable:
+    """Count canonical k-mers over the read file at ``path`` (:func:`scan_batches`) and keep those seen
+    >= t times, one spilled group at a time (:func:`spill_groups`); the group tables join into the
+    sorted table with no sort."""
     check_k_t(k, t)
-    if isinstance(reads, (str, os.PathLike)):
-        batches = ((codes,) for _, codes, _ in scan_bank(reads, k))
-    else:
-        batches = ((codes,) for _, _, codes, _ in scan_batches(reads, k))
+    # ``_`` is left bound to the sizes: no batch's positions are held while the spill partitions it
+    batches = ((codes,) for _, _, _, _, codes, _ in scan_batches(path, k))
     tables = [solid_table(codes, k, t) for codes, in spill_groups(batches, k, (code_word(k),))]
     codes, counts = zip(*((table.codes, table.counts) for table in tables))
     return SolidKmerTable(np.concatenate(codes), np.concatenate(counts), k, t)

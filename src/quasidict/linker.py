@@ -19,15 +19,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from os.path import realpath
-from typing import Iterable, Iterator, Optional, TextIO
+from typing import Iterable, Optional, TextIO
 
 import numpy as np
 
 from .bits import DEFAULT_SEED, changes, runs
 from .core import QuasiDictionary
-from .kcount import check_k_t, scan_bank, scan_batches, spill_groups
-from .kmer import code_word, scan_kmers  # noqa: F401 (bench/tests checks that the tracer wraps scan_kmers here)
-from .seqio import ReadRecord, open_reads
+from .kcount import check_k_t, scan_batches, spill_groups
+from .kmer import code_word, scan_kmers
+from .seqio import ReadRecord
+from .seqio import open_reads  # noqa: F401 (bench/tests checks that the tracer wraps this binding)
 
 DEFAULT_LINK_THRESHOLD = 10
 
@@ -97,8 +98,9 @@ def build_linker_index(
 
     def batches():
         nonlocal n_targets
-        for n, codes, sizes in scan_bank(bank_path, k):
-            first, n_targets = n_targets, n_targets + n
+        for first, lengths, _, positions, codes, sizes in scan_batches(bank_path, k):
+            del positions  # the query loop's column: not held while the spill partitions the batch
+            n_targets = first + len(lengths)
             if n_targets > MAX_BANK_READS:
                 raise ValueError(f"bank holds more than {MAX_BANK_READS} reads; read ids are int32")
             yield codes, np.repeat(np.arange(first, n_targets, dtype=np.int32), sizes)
@@ -138,46 +140,50 @@ def link_read(
     thresholds below k meaningful. Results sort by descending score then
     target id; the trivial self pair is dropped when ``exclude_self`` is set.
     """
-    return next(link_reads(index, [read], threshold, window, exclude_self))[1]
+    positions, codes = scan_kmers(read.seq, index.k)
+    lengths, sizes = np.array([len(read.seq)]), np.array([len(codes)])
+    return _link_batch(index, read.id, lengths, positions, codes, sizes, threshold, window, exclude_self)[0]
 
 
-def link_reads(
-    index: LinkerIndex, reads: Iterable[ReadRecord], threshold: int, window: Optional[int], exclude_self: bool
-) -> Iterator[tuple[ReadRecord, list[MatchResult]]]:
-    """``(read, link_read(index, read, ...))`` for each read in order, one query per batch of reads."""
+def _link_batch(
+    index: LinkerIndex, first: int, lengths, positions, codes, sizes, threshold: int, window, exclude_self: bool
+) -> list[list[MatchResult]]:
+    """``link_read``'s result for each read of a scanned batch whose first read id is ``first``, with one
+    query for the batch (``kcount.scan_batches``)."""
     if window is not None and window < index.k:
         raise ValueError(f"window ({window}) must be >= k ({index.k})")
-    for batch, positions, codes, sizes in scan_batches(reads, index.k):
-        slots = index.qd.query_array(codes)
-        hit = slots >= 0
-        starts = index.offsets[slots[hit]]
-        lens = index.offsets[slots[hit] + 1] - starts
-        tgt = index.ids[_spans(starts, lens)]
-        # one incidence per (query position, bank read in that k-mer's posting list), keyed
-        # ((read << tb | target) << sb) | position with 2^sb > L, the batch's longest read, and sorted
-        # once: one run per pair. n reads have n · (L + 1) <= 2^16 (kcount.BATCH_BASES) and n_targets
-        # <= 2^31, so key < n · 2^(sb+tb) < 2^48; a read alone keeps it below 2^63 while L < 2^32.
-        L = max(len(read.seq) for read in batch)
-        tb, sb = (index.n_targets - 1).bit_length(), L.bit_length()
-        row = np.repeat(np.arange(len(batch)), sizes)[hit]
-        key = np.repeat(row << (tb + sb) | positions[hit], lens) | tgt << np.int64(sb)
-        key.sort()
-        # a pair sharing fewer than threshold k-mer positions (at least 1), or an excluded self pair, is never reported
-        firsts, shared = runs(key >> sb, max(threshold, 1))
-        query, target = key[firsts] >> sb + tb, key[firsts] >> sb & (1 << tb) - 1
-        if exclude_self:  # one pair per query read at most, so no other pair changes
-            kept = np.flatnonzero(target != np.array([read.id for read in batch])[query])
-            firsts, shared, query, target = firsts[kept], shared[kept], query[kept], target[kept]
-        key = key[_spans(firsts, shared)]
-        w = L if window is None else min(window, L)
-        best, win_starts = _best_windows(key, L, w, index.k)
-        good = np.flatnonzero(best >= threshold)
-        order = good[np.lexsort((target[good], -best[good]))]  # then split by query read
-        ws = [None] * len(order) if window is None else win_starts[order].tolist()
-        matches: list[list[MatchResult]] = [[] for _ in batch]
-        for q, t, b, s in zip(query[order].tolist(), target[order].tolist(), best[order].tolist(), ws):
-            matches[q].append(MatchResult(batch[q].id, t, b, s))
-        yield from zip(batch, matches)
+    slots = index.qd.query_array(codes)
+    hit = slots >= 0
+    starts = index.offsets[slots[hit]]
+    lens = index.offsets[slots[hit] + 1] - starts
+    tgt = index.ids[_spans(starts, lens)]
+    # one incidence per (query position, bank read in that k-mer's posting list), keyed
+    # ((read << tb | target) << sb) | position with 2^sb > L, the batch's longest read, and sorted
+    # once: one run per pair. n reads have n · (L + 1) <= 2^16 (kcount.BATCH_BASES) and n_targets
+    # <= 2^31, so key < n · 2^(sb+tb) < 2^48; a read alone keeps it below 2^63 while L < 2^32.
+    L = int(lengths.max())
+    tb, sb = (index.n_targets - 1).bit_length(), L.bit_length()
+    row = np.repeat(np.arange(len(lengths)), sizes)[hit]
+    # a k-mer's start within its read: a read starts one separator past the read before it
+    within = positions[hit] - (np.cumsum(lengths + 1) - lengths - 1)[row]
+    key = np.repeat(row << (tb + sb) | within, lens) | tgt << np.int64(sb)
+    key.sort()
+    # a pair sharing fewer than threshold k-mer positions (at least 1), or an excluded self pair, is never reported
+    firsts, shared = runs(key >> sb, max(threshold, 1))
+    query, target = key[firsts] >> sb + tb, key[firsts] >> sb & (1 << tb) - 1
+    if exclude_self:  # one pair per query read at most, so no other pair changes
+        kept = np.flatnonzero(target != first + query)
+        firsts, shared, query, target = firsts[kept], shared[kept], query[kept], target[kept]
+    key = key[_spans(firsts, shared)]
+    w = L if window is None else min(window, L)
+    best, win_starts = _best_windows(key, L, w, index.k)
+    good = np.flatnonzero(best >= threshold)
+    order = good[np.lexsort((target[good], -best[good]))]  # then split by query read
+    ws = [None] * len(order) if window is None else win_starts[order].tolist()
+    matches: list[list[MatchResult]] = [[] for _ in lengths]
+    for q, t, b, s in zip(query[order].tolist(), target[order].tolist(), best[order].tolist(), ws):
+        matches[q].append(MatchResult(first + q, t, b, s))
+    return matches
 
 
 def _best_windows(key: np.ndarray, L: int, w: int, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -246,5 +252,7 @@ def run_linker(
     bank_real = realpath(bank_path)
     for path in query_paths:
         self_mode = realpath(path) == bank_real
-        for read, matches in link_reads(index, open_reads(path), threshold, window, self_mode):
-            out.write(format_link_line(read.id, matches) + "\n")
+        for first, lengths, _, positions, codes, sizes in scan_batches(path, index.k):
+            matches = _link_batch(index, first, lengths, positions, codes, sizes, threshold, window, self_mode)
+            for rid, found in enumerate(matches, first):
+                out.write(format_link_line(rid, found) + "\n")

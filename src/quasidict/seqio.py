@@ -6,11 +6,13 @@ discarded). A file that starts with the gzip magic bytes 1f 8b is read
 through gzip. Records stream in file order with ids 0, 1, 2, ...
 
 Files are read as bytes, in blocks of whole records (:func:`read_blocks`),
-in constant memory per block, plus the longest record. A line ends at
-``\\n``, ``\\r\\n`` or a lone ``\\r``, as in Python's universal newlines.
-Bytes are latin-1, one character per byte, so any byte passes: header
-bytes reach the output unchanged (UTF-8 included), and a byte that is no
-nucleotide only drops the k-mer windows that touch it.
+in constant memory per block, plus the longest record. The read tools scan
+every file, bank or queries, from these blocks, with no object per read;
+:func:`open_reads` is the record view, one ReadRecord per read. A line
+ends at ``\\n``, ``\\r\\n`` or a lone ``\\r``, as in Python's universal
+newlines. Bytes are latin-1, one character per byte, so any byte passes:
+header bytes reach the output unchanged (UTF-8 included), and a byte that
+is no nucleotide only drops the k-mer windows that touch it.
 """
 
 from __future__ import annotations
@@ -62,11 +64,14 @@ class ReadBlock:
     data: bytes  # the block's file bytes, line breaks made b"\n"
     heads: np.ndarray  # where each read's header line starts in data
 
+    def names(self) -> list[str]:
+        """Each read's header word."""
+        return [_HEADER_WORD.match(self.data, head + 1).group(1).decode("latin-1") for head in self.heads.tolist()]
+
     def records(self) -> Iterator[ReadRecord]:
         """The block's reads, one record each."""
         ends = (np.cumsum(self.lengths + 1) - 1).tolist()
-        for i, (head, length, end) in enumerate(zip(self.heads.tolist(), self.lengths.tolist(), ends)):
-            word = _HEADER_WORD.match(self.data, head + 1).group(1).decode("latin-1")
+        for i, (word, length, end) in enumerate(zip(self.names(), self.lengths.tolist(), ends)):
             yield ReadRecord(self.first + i, word, self.seq[end - length : end])
 
 

@@ -10,12 +10,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from quasidict import kcount
+from quasidict import kcount, seqio
 from quasidict.counter import build_counter_index, count_read, format_count_line, run_counter
 from quasidict.kcount import scan_batches
 from quasidict.kmer import scan_kmers
 from quasidict.linker import build_linker_index, format_link_line, link_read, run_linker
-from quasidict.seqio import ReadRecord, open_reads
+from quasidict.seqio import open_reads
 
 IUPAC = "NRYKMSWBDHVn-"
 
@@ -49,9 +49,12 @@ def cases(draw):
     return k, bank, queries, budget, window, threshold, f, draw(st.booleans())
 
 
-def write_reads(path, seqs):
+def write_reads(path, seqs, fastq=False):
     with open(path, "w") as fh:
-        fh.writelines(f">r{i} read {i}\n{s}\n" for i, s in enumerate(seqs))
+        if fastq:
+            fh.writelines(f"@r{i} read {i}\n{s}\n+\n{'!' * len(s)}\n" for i, s in enumerate(seqs))
+        else:
+            fh.writelines(f">r{i} read {i}\n{s}\n" for i, s in enumerate(seqs))
     return path
 
 
@@ -81,7 +84,7 @@ def test_tools_match_per_read_calls(case):
         linker_index = build_linker_index(bank_path, k=k, t=1, f=f)
         reads = list(open_reads(query_path))
     assert counter_out.getvalue() == "".join(
-        format_count_line(read, count_read(counter_index, read)) + "\n" for read in reads
+        format_count_line(read.id, read.header, count_read(counter_index, read)) + "\n" for read in reads
     )
     assert linker_out.getvalue() == "".join(
         format_link_line(read.id, link_read(linker_index, read, threshold, window, self_mode)) + "\n"
@@ -91,23 +94,31 @@ def test_tools_match_per_read_calls(case):
 
 @settings(deadline=None, max_examples=200)
 @given(
-    st.lists(st.text("ACGTN", max_size=40), max_size=12),
+    st.lists(st.text("ACGTN", min_size=1, max_size=40), max_size=12),  # a read file holds no empty read
     st.integers(1, 8),
     st.integers(1, 200),
+    st.integers(1, 300),
+    st.booleans(),
 )
-def test_scan_batches_equal_per_read_scans(seqs, k, budget):
-    reads = [ReadRecord(i, f"r{i}", s) for i, s in enumerate(seqs)]
-    with pytest.MonkeyPatch.context() as mp:
+def test_scan_batches_equal_per_read_scans(seqs, k, budget, block_bytes, fastq):
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        path = write_reads(os.path.join(tmp, "reads"), seqs, fastq)
         mp.setattr(kcount, "BATCH_BASES", budget)
-        batches = list(scan_batches(reads, k))
-    assert [read for batch in batches for read in batch[0]] == reads
-    for batch, positions, codes, sizes in batches:
+        mp.setattr(seqio, "BLOCK_BYTES", block_bytes)  # batches span blocks
+        batches = list(scan_batches(path, k, names=True))
+    ids = [i for first, lengths, *_ in batches for i in range(first, first + len(lengths))]
+    assert ids == list(range(len(seqs)))
+    for first, lengths, names, positions, codes, sizes in batches:
+        reads = seqs[first : first + len(lengths)]
+        assert lengths.tolist() == list(map(len, reads))
+        assert names == [f"r{i}" for i in range(first, first + len(reads))]
         # a batch holds one read, or n reads of at most L bases with n·(L + 1) within the budget
-        cells = len(batch) * (max(len(read.seq) for read in batch) + 1)
-        assert len(batch) == 1 or cells <= budget
-        assert len(sizes) == len(batch) and sizes.sum() == len(codes) == len(positions)
+        assert len(reads) == 1 or len(reads) * (max(lengths) + 1) <= budget
+        assert len(sizes) == len(reads) and sizes.sum() == len(codes) == len(positions)
         ends = np.cumsum(sizes)
-        for read, lo, hi in zip(batch, ends - sizes, ends):
-            want_positions, want_codes = scan_kmers(read.seq, k)
-            assert positions[lo:hi].tolist() == want_positions.tolist()
+        # each read starts one separator past the read before it in the batch's joined sequence
+        starts = np.cumsum(lengths + 1) - lengths - 1
+        for seq, start, lo, hi in zip(reads, starts, ends - sizes, ends):
+            want_positions, want_codes = scan_kmers(seq, k)
+            assert (positions[lo:hi] - start).tolist() == want_positions.tolist()
             assert codes[lo:hi].tolist() == want_codes.tolist()

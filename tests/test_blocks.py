@@ -1,7 +1,9 @@
 """The block parser against the line-by-line oracle, and the bank pass that reads it with no record."""
 
 import gzip
+import io
 import tracemalloc
+from collections import Counter
 import weakref
 from pathlib import Path
 
@@ -11,10 +13,13 @@ from conftest import random_genome, reads_from_genome, reads_oracle
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import quasidict
 from quasidict import counter, kcount, linker, seqio
-from quasidict.counter import build_counter_index
-from quasidict.kcount import count_solid
-from quasidict.linker import build_linker_index
+from quasidict.core import QuasiDictionary
+from quasidict.counter import build_counter_index, run_counter
+from quasidict.kcount import count_solid, solid_table
+from quasidict.kmer import scan_kmers
+from quasidict.linker import build_linker_index, run_linker
 from quasidict.seqio import ParseError, ReadRecord, open_reads, read_blocks
 
 
@@ -125,9 +130,9 @@ def test_bank_pass_makes_no_record(tmp_path, monkeypatch):
     monkeypatch.setattr(kcount, "BATCH_BASES", 2000)  # several batches per block
     monkeypatch.setattr(seqio, "BLOCK_BYTES", 5000)  # several blocks
     for name, path in _banks(tmp_path).items():
-        want = count_solid(list(open_reads(path)), 11, 2)
+        want = solid_table(np.concatenate([scan_kmers(read.seq, 11)[1] for read in open_reads(path)]), 11, 2)
         with monkeypatch.context() as mp:
-            for module in (seqio, kcount, counter, linker):
+            for module in (seqio, counter, linker):
                 mp.setattr(module, "ReadRecord", Counted)
             got = count_solid(path, 11, 2)
             build_counter_index(Path(path), k=11, t=2)
@@ -138,23 +143,80 @@ def test_bank_pass_makes_no_record(tmp_path, monkeypatch):
         assert len(want) > 1000 and index.n_targets == 402, name
 
 
+def test_query_pass_makes_no_record(tmp_path, monkeypatch):
+    """Both query loops read each query file once, as blocks: no record view and no ReadRecord, and one
+    query per batch of the whole file's reads, so a batch that a block edge would cut short waits for
+    the next block's reads."""
+    calls, made = Counter(), []
+
+    def counted_blocks(path):
+        calls["read_blocks", path] += 1
+        return read_blocks(path)
+
+    def counted_reads(path):
+        calls["open_reads"] += 1
+        return open_reads(path)
+
+    def counted_query(self, codes):
+        calls["query_array"] += 1
+        return query_array(self, codes)
+
+    class Counted(ReadRecord):
+        def __init__(self, *args):
+            made.append(args[0])
+            super().__init__(*args)
+
+    banks = _banks(tmp_path)
+    bank, queries = banks["multi-line"], [banks["fasta"], banks["fastq"]]
+    query_array = QuasiDictionary.query_array
+    monkeypatch.setattr(kcount, "BATCH_BASES", 2000)
+    monkeypatch.setattr(seqio, "BLOCK_BYTES", 3000)  # a block edge inside most batches
+    # the batches over each query file's whole length array
+    want = sum(len(list(kcount.batch_ranges(np.array([len(r.seq) for r in open_reads(q)])))) for q in queries)
+    for run in (run_counter, run_linker):
+        calls.clear()
+        with monkeypatch.context() as mp:
+            for module in (seqio, kcount):
+                mp.setattr(module, "read_blocks", counted_blocks)
+            for module in (quasidict, seqio, counter, linker):
+                mp.setattr(module, "open_reads", counted_reads)
+            for module in (seqio, counter, linker):
+                mp.setattr(module, "ReadRecord", Counted)
+            mp.setattr(QuasiDictionary, "query_array", counted_query)
+            run(bank, queries, io.StringIO(), k=11, t=2)
+        assert made == [], run
+        assert calls == {("read_blocks", bank): 1, **{("read_blocks", q): 1 for q in queries}, "query_array": want}
+        assert want > 8
+
+
 def test_bank_scan_frees_each_batch_positions(tmp_path, monkeypatch):
-    """The bank builds never read the k-mer positions: by the time a batch reaches them, its positions
+    """The bank builds never read the k-mer positions: by the time the spill takes a batch, its positions
     array is freed, so the spill does not hold 8 bytes per k-mer beside the codes."""
-    positions = []
+    positions, spilled = [], []
 
     def scan(seq, k):
         found, codes = kmer_scan(seq, k)
         positions.append(weakref.ref(found))
         return found, codes
 
-    kmer_scan = kcount.scan_kmers
+    def spill(batches, *args):
+        def checked():
+            for batch in batches:
+                assert positions[-1]() is None
+                spilled.append(len(batch[0]))
+                yield batch
+
+        return spill_groups(checked(), *args)
+
+    kmer_scan, spill_groups = kcount.scan_kmers, kcount.spill_groups
     monkeypatch.setattr(kcount, "scan_kmers", scan)
+    for module in (kcount, linker):
+        monkeypatch.setattr(module, "spill_groups", spill)
     monkeypatch.setattr(kcount, "BATCH_BASES", 2000)
-    for n, codes, sizes in kcount.scan_bank(_banks(tmp_path)["fasta"], 11):
-        assert positions[-1]() is None
-        assert n == len(sizes) and sizes.sum() == len(codes)
-    assert len(positions) > 10
+    path = _banks(tmp_path)["fasta"]
+    count_solid(path, 11, 2)
+    build_linker_index(path, k=11, t=2)
+    assert len(spilled) == len(positions) > 20
 
 
 def test_parser_memory_is_a_block_and_the_longest_record(tmp_path):

@@ -94,11 +94,16 @@ def test_sim_and_score_pipeline(tmp_path, capsys):
     [
         (b"0:1-20\n1:zz\n", b"0\t1\n", "pred", 2),  # a target id that is no integer
         (b"0:1-20\n1:\xe9-3\n", b"0\t1\n", "pred", 2),  # a byte that is no UTF-8
+        (b"0\n", b"0\t1\n", "pred", 1),  # no colon
+        (b"0:1\n", b"0\t1\n", "pred", 1),  # a link with no score
+        (b"0:1-x\n", b"0\t1\n", "pred", 1),  # a score that is no integer
+        (b"0:1-5@\n", b"0\t1\n", "pred", 1),  # an empty window start
         (b"0:1-20\n", b"0\t1\n\n2 3\n", "truth", 3),  # a space, not a tab; the blank line counts
         (b"0:1-20\n", b"0\t1\t2\n", "truth", 1),  # three fields
         (b"0:1-20\n", b"0\t1\n3\t3\n", "truth", 2),  # a self pair
     ],
-    ids=["pred-target-not-int", "pred-not-utf8", "truth-space", "truth-three-fields", "truth-self-pair"],
+    ids=["pred-target-not-int", "pred-not-utf8", "pred-no-colon", "pred-no-score", "pred-score-not-int",
+         "pred-empty-start", "truth-space", "truth-three-fields", "truth-self-pair"],
 )
 def test_score_error_names_the_line(tmp_path, capsys, pred, truth, bad, line):
     paths = {"pred": tmp_path / "links.txt", "truth": tmp_path / "truth.tsv"}

@@ -147,5 +147,5 @@ def test_output_line_count_equals_query_count(tmp_path):
 
 
 def test_mean_formatted_two_decimals():
-    line = format_count_line(ReadRecord(3, "h", "ACGT"), CountStats(3, 3, 7.0 / 3.0, 2, 1, 4))
+    line = format_count_line(3, "h", CountStats(3, 3, 7.0 / 3.0, 2, 1, 4))
     assert line == "3\th\t3\t2.33\t2\t1\t4"

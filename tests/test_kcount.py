@@ -1,6 +1,7 @@
 """Solid-k-mer counting against a naive dictionary recount."""
 
 import tracemalloc
+from itertools import count
 
 import numpy as np
 import pytest
@@ -9,11 +10,13 @@ from conftest import random_genome, reads_from_genome, window_oracle, write_fast
 from quasidict import kcount
 from quasidict.kcount import BATCH_BASES, SolidKmerTable, count_solid, scan_batches, solid_table
 from quasidict.kmer import code_word
-from quasidict.seqio import ReadRecord, open_reads
 
 
-def reads_of(*seqs):
-    return [ReadRecord(i, f"r{i}", s) for i, s in enumerate(seqs)]
+@pytest.fixture
+def reads_of(tmp_path):
+    """Writes its sequences as a new FASTA file and returns the path: count_solid reads a file."""
+    files = count()
+    return lambda *seqs: write_fasta(tmp_path / f"reads{next(files)}.fa", seqs)
 
 
 def naive_counts(seqs, k):
@@ -25,14 +28,14 @@ def naive_counts(seqs, k):
     return counts
 
 
-def test_single_read_single_kmer():
+def test_single_read_single_kmer(reads_of):
     table = count_solid(reads_of("ACCG"), k=4, t=1)
     assert len(table) == 1
     assert [(0, int(table.codes[0]))] == window_oracle("ACCG", 4)
     assert int(table.counts[0]) == 1
 
 
-def test_both_strands_pool_into_one_entry():
+def test_both_strands_pool_into_one_entry(reads_of):
     # CGGT is the reverse complement of ACCG: one canonical k-mer seen twice
     table = count_solid(reads_of("ACCG", "CGGT"), k=4, t=2)
     assert len(table) == 1
@@ -40,13 +43,13 @@ def test_both_strands_pool_into_one_entry():
     assert int(table.counts[0]) == 2
 
 
-def test_threshold_filters():
+def test_threshold_filters(reads_of):
     table = count_solid(reads_of("ACCGT", "ACCGA"), k=4, t=2)
     # only ACCG appears twice; the other windows once each
     assert len(table) == 1
 
 
-def test_matches_naive_recount():
+def test_matches_naive_recount(reads_of):
     rng = np.random.default_rng(0)
     seqs = [
         "".join(rng.choice(list("ACGTN"), size=rng.integers(20, 120), p=[0.24, 0.24, 0.24, 0.24, 0.04]))
@@ -59,21 +62,21 @@ def test_matches_naive_recount():
         assert got == {c: min(n, 255) for c, n in oracle.items()}
 
 
-def test_sorted_and_distinct():
+def test_sorted_and_distinct(reads_of):
     rng = np.random.default_rng(1)
     seqs = ["".join(rng.choice(list("ACGT"), size=100)) for _ in range(100)]
     table = count_solid(reads_of(*seqs), k=9, t=1)
     assert (np.diff(table.codes.astype(np.int64)) > 0).all()
 
 
-def test_t1_size_equals_distinct_kmers():
+def test_t1_size_equals_distinct_kmers(reads_of):
     rng = np.random.default_rng(2)
     seqs = ["".join(rng.choice(list("ACGT"), size=80)) for _ in range(50)]
     table = count_solid(reads_of(*seqs), k=7, t=1)
     assert len(table) == len(naive_counts(seqs, 7))
 
 
-def test_read_order_does_not_matter():
+def test_read_order_does_not_matter(reads_of):
     rng = np.random.default_rng(3)
     seqs = ["".join(rng.choice(list("ACGT"), size=60)) for _ in range(40)]
     a = count_solid(reads_of(*seqs), k=8, t=2)
@@ -81,12 +84,12 @@ def test_read_order_does_not_matter():
     assert (a.codes == b.codes).all() and (a.counts == b.counts).all()
 
 
-def test_counts_saturate_at_255():
+def test_counts_saturate_at_255(reads_of):
     table = count_solid(reads_of(*(["ACGTACGT"] * 300)), k=8, t=1)
     assert (table.counts == 255).all()
 
 
-def test_solidity_uses_exact_counts_before_capping():
+def test_solidity_uses_exact_counts_before_capping(reads_of):
     # 300 occurrences with t=260 would be impossible (t capped at 255)
     with pytest.raises(ValueError):
         count_solid(reads_of("ACGT"), k=4, t=256)
@@ -94,12 +97,12 @@ def test_solidity_uses_exact_counts_before_capping():
         count_solid(reads_of("ACGT"), k=4, t=0)
 
 
-def test_empty_input():
-    table = count_solid([], k=5, t=1)
+def test_empty_input(reads_of):
+    table = count_solid(reads_of(), k=5, t=1)
     assert len(table) == 0
 
 
-def test_dump_load_roundtrip(tmp_path):
+def test_dump_load_roundtrip(tmp_path, reads_of):
     rng = np.random.default_rng(4)
     seqs = ["".join(rng.choice(list("ACGT"), size=70)) for _ in range(60)]
     table = count_solid(reads_of(*seqs), k=9, t=1)
@@ -111,7 +114,7 @@ def test_dump_load_roundtrip(tmp_path):
     assert (back.counts == table.counts).all()
 
 
-def test_load_rejects_truncated_or_padded_file(tmp_path):
+def test_load_rejects_truncated_or_padded_file(tmp_path, reads_of):
     table = count_solid(reads_of("ACGTTGCAAC", "ACGTTGCAAC"), k=4, t=1)
     path = tmp_path / "table.skmt"
     table.dump(str(path))
@@ -160,7 +163,7 @@ def test_load_accepts_extreme_valid_table(tmp_path):
 
 
 @pytest.mark.parametrize("k", [1, 16, 17, 31])
-def test_load_returns_the_word_of_count_solid(tmp_path, k):
+def test_load_returns_the_word_of_count_solid(tmp_path, k, reads_of):
     rng = np.random.default_rng(k)
     table = count_solid(reads_of(*("".join(rng.choice(list("ACGT"), size=60)) for _ in range(20))), k=k, t=1)
     path = str(tmp_path / "table.skmt")
@@ -186,13 +189,13 @@ def _banks(k):
 
 @pytest.mark.parametrize("group_kmers", [1, 3, kcount.GROUP_KMERS, 2**18])
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 15, 16, 17, 31])
-def test_groups_are_invisible(monkeypatch, k, group_kmers):
+def test_groups_are_invisible(monkeypatch, k, group_kmers, reads_of):
     """Whatever the group budget, the spilled count equals one table over the whole bank."""
     monkeypatch.setattr(kcount, "GROUP_KMERS", group_kmers)
     for name, seqs in _banks(k).items():
         for t in (1, 2):
             got = count_solid(reads_of(*seqs), k, t)
-            codes = [np.empty(0, code_word(k))] + [codes for _, _, codes, _ in scan_batches(reads_of(*seqs), k)]
+            codes = [np.empty(0, code_word(k))] + [codes for *_, codes, _ in scan_batches(reads_of(*seqs), k)]
             want = solid_table(np.concatenate(codes), k, t)
             assert got.codes.dtype == want.codes.dtype, name
             assert got.codes.tolist() == want.codes.tolist(), name
@@ -215,7 +218,7 @@ def test_count_does_not_hold_the_bank(tmp_path):
         try:
             before = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            count_solid(open_reads(path), 31, 2)
+            count_solid(path, 31, 2)
             peaks.append(tracemalloc.get_traced_memory()[1] - before)
         finally:
             if not tracing:
