@@ -134,28 +134,31 @@ def _index_options(args) -> dict:
 
 @contextmanager
 def _whole_output(path: str):
-    """Text stream to ``path`` that leaves a regular file whole or untouched.
+    """The path to write ``path``'s content to, so that a regular file ends whole or untouched.
 
-    A regular or new file is written under a temporary name beside it, renamed
-    over ``path`` on success and removed on failure, so a run that fails part
-    way leaves no truncated result. Anything else, such as /dev/null or a
-    symlink, is written in place: a rename must never replace it.
+    A regular or new file is written under a temporary name beside it, which
+    this yields; it is renamed over ``path`` when the block ends and removed if
+    the block raises, so a run that fails part way leaves no truncated result.
+    Anything else, such as /dev/null or a symlink, is written in place, so this
+    yields ``path`` itself: a rename must never replace it. A temporary file
+    that cannot be made is reported under ``path``, the name the user gave.
     """
     try:
         st = os.lstat(path)
     except FileNotFoundError:
         st = None
     if st is not None and not S_ISREG(st.st_mode):
-        with open(path, "w", encoding="latin-1") as out:
-            yield out
+        yield path
         return
     tmp = f"{path}.{os.urandom(4).hex()}.tmp"
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with open(fd, "w", encoding="latin-1") as out:
-            if st is not None:
-                os.chmod(fd, S_IMODE(st.st_mode))
-            yield out
+        open(tmp, "xb").close()
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from None
+    try:
+        if st is not None:
+            os.chmod(tmp, S_IMODE(st.st_mode))
+        yield tmp
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
@@ -164,14 +167,14 @@ def _whole_output(path: str):
 
 def _cmd_counter(args) -> int:
     queries = open_file_of_files(args.q)
-    with _whole_output(args.o) as out:
+    with _whole_output(args.o) as path, open(path, "w", encoding="latin-1") as out:
         run_counter(args.b, queries, out, **_index_options(args))
     return 0
 
 
 def _cmd_linker(args) -> int:
     queries = open_file_of_files(args.q)
-    with _whole_output(args.o) as out:
+    with _whole_output(args.o) as path, open(path, "w", encoding="latin-1") as out:
         run_linker(args.b, queries, out, threshold=args.s, window=args.w, **_index_options(args))
     return 0
 
@@ -186,7 +189,9 @@ def _cmd_sim(args) -> int:
         spot_min_gap=args.gap,
         rng_seed=args.seed,
     )
-    simulate(cfg, args.o, args.truth)
+    # truth is the outer one, so it is renamed last: when -o and --truth name one file, it holds the truth
+    with _whole_output(args.truth) as truth, _whole_output(args.o) as reads:
+        simulate(cfg, reads, truth)
     return 0
 
 

@@ -154,23 +154,27 @@ def _parsed_lines(path: str, parse, form: str) -> list:
     return out
 
 
-def _id_pair(line: str) -> tuple[int, int]:
-    a, b = map(int, line.split("\t"))
-    if a == b:
-        raise ValueError
-    return a, b
-
-
-# one link of a linker line: <target id>-<score>[@<start>]
+# a read id is digits only: int() would also take a sign, underscores and spaces
+_ID_PAIR = re.compile(r"([0-9]+)\t([0-9]+)")
+# a linker line: <read id>:<links>, and one of its links: <target id>-<score>[@<start>]
+_QUERY = re.compile(r"([0-9]+):(.*)")
 _LINK = re.compile(r"([0-9]+)-[0-9]+(?:@[0-9]+)?")
 
 
-def _links(line: str) -> list[tuple[int, int]]:
-    qid_text, colon, rest = line.partition(":")
-    links = [_LINK.fullmatch(item) for item in rest.split()]
-    if not colon or None in links:
+def _id_pair(line: str) -> tuple[int, int]:
+    pair = _ID_PAIR.fullmatch(line)
+    if pair is None or int(pair[1]) == int(pair[2]):
         raise ValueError
-    qid = int(qid_text)
+    return int(pair[1]), int(pair[2])
+
+
+def _links(line: str) -> list[tuple[int, int]]:
+    query = _QUERY.fullmatch(line)
+    if query is None:
+        raise ValueError
+    qid, links = int(query[1]), [_LINK.fullmatch(item) for item in query[2].split()]
+    if None in links:
+        raise ValueError
     return [(qid, int(link[1])) for link in links]
 
 

@@ -22,6 +22,7 @@ from quasidict.cli import (
     main_sim,
     stats_run,
 )
+from quasidict.evaluation import SimConfig, simulate
 
 from conftest import damaged_gzip, random_genome, reads_from_genome, write_fasta
 
@@ -101,9 +102,16 @@ def test_sim_and_score_pipeline(tmp_path, capsys):
         (b"0:1-20\n", b"0\t1\n\n2 3\n", "truth", 3),  # a space, not a tab; the blank line counts
         (b"0:1-20\n", b"0\t1\t2\n", "truth", 1),  # three fields
         (b"0:1-20\n", b"0\t1\n3\t3\n", "truth", 2),  # a self pair
+        # a read id is digits only, though int() takes a sign, a space beside it and underscores
+        (b"+1:2-10\n", b"0\t1\n", "pred", 1),
+        (b"1 :2-10\n", b"0\t1\n", "pred", 1),
+        (b"1_0:2-10\n", b"0\t1\n", "pred", 1),
+        (b"0:1-20\n", b"+1\t2\n", "truth", 1),
+        (b"0:1-20\n", b"1_0\t2\n", "truth", 1),
     ],
     ids=["pred-target-not-int", "pred-not-utf8", "pred-no-colon", "pred-no-score", "pred-score-not-int",
-         "pred-empty-start", "truth-space", "truth-three-fields", "truth-self-pair"],
+         "pred-empty-start", "truth-space", "truth-three-fields", "truth-self-pair", "pred-signed-id",
+         "pred-spaced-id", "pred-underscored-id", "truth-signed-id", "truth-underscored-id"],
 )
 def test_score_error_names_the_line(tmp_path, capsys, pred, truth, bad, line):
     paths = {"pred": tmp_path / "links.txt", "truth": tmp_path / "truth.tsv"}
@@ -200,6 +208,49 @@ def test_failed_run_leaves_no_partial_output(small_data, capsys, command, existi
     assert sorted(p.name for p in d.iterdir()) == before  # nothing created, no temporary file left
     if existing is not None:
         assert out.read_bytes() == existing
+
+
+SIM_ARGS = ["--genome-len", "5000", "--spots", "2", "--reads-per-spot", "5", "--read-len", "200"]
+
+
+@pytest.mark.parametrize("existing", [None, b"an earlier result\n"])
+def test_failed_sim_leaves_no_partial_output(tmp_path, capsys, existing):
+    # the reads could be written in full; the truth's directory is missing
+    reads, truth = tmp_path / "reads.fa", tmp_path / "nodir" / "t.tsv"
+    if existing is not None:
+        reads.write_bytes(existing)
+    before = sorted(p.name for p in tmp_path.iterdir())
+    assert main_sim([*SIM_ARGS, "-o", str(reads), "--truth", str(truth)]) == 1
+    assert capsys.readouterr().err == f"qd sim: error: [Errno 2] No such file or directory: '{truth}'\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == before  # nothing created, no temporary file left
+    if existing is not None:
+        assert reads.read_bytes() == existing
+
+
+def test_sim_writes_what_simulate_writes(tmp_path):
+    reads, truth = tmp_path / "reads.fa", tmp_path / "truth.tsv"
+    assert main_sim([*SIM_ARGS, "--seed", "3", "-o", str(reads), "--truth", str(truth)]) == 0
+    cfg = SimConfig(5000, 2, read_length=200, reads_per_spot=5, rng_seed=3)
+    simulate(cfg, str(tmp_path / "direct.fa"), str(tmp_path / "direct.tsv"))
+    assert reads.read_bytes() == (tmp_path / "direct.fa").read_bytes()
+    assert truth.read_bytes() == (tmp_path / "direct.tsv").read_bytes()
+    # one file named twice ends holding the truth, which is written last
+    both = tmp_path / "both"
+    assert main_sim([*SIM_ARGS, "--seed", "3", "-o", str(both), "--truth", str(both)]) == 0
+    assert both.read_bytes() == truth.read_bytes()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["both", "direct.fa", "direct.tsv", "reads.fa", "truth.tsv"]
+
+
+def test_unwritable_output_is_named_as_given(small_data, capsys):
+    # the temporary file beside -o cannot be made; the error names -o, not that file's random name,
+    # so two runs print the same line
+    out = small_data["dir"] / "nodir" / "x.tsv"
+    argv = ["counter", "-b", small_data["bank"], "-q", small_data["fof"], "-o", str(out)]
+    errors = []
+    for _ in range(2):
+        assert main(argv) == 1
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1] == f"qd counter: error: [Errno 2] No such file or directory: '{out}'\n"
 
 
 def failing_spill(small_data, monkeypatch, failure):
