@@ -77,13 +77,15 @@ class RankBitVector:
 
     @classmethod
     def deserialize(cls, buf: bytes, offset: int = 0) -> tuple["RankBitVector", int]:
-        """Inverse of :meth:`serialize`; ValueError on a short buffer."""
+        """Inverse of :meth:`serialize`; ValueError on a short buffer or on samples the bits do not give."""
         check_room(buf, offset, 8)
         (n_bits,) = struct.unpack_from("<Q", buf, offset)
         offset += 8
         size = n_words(n_bits, 1)
         n_samples = (size + WORDS_PER_BLOCK - 1) // WORDS_PER_BLOCK
         check_room(buf, offset, 8 * (size + n_samples))
-        words = np.frombuffer(buf, dtype="<u8", count=size, offset=offset)
-        # samples are recomputed by the constructor; skip over them
-        return cls(words, n_bits), offset + 8 * (size + n_samples)
+        vector = cls(np.frombuffer(buf, dtype="<u8", count=size, offset=offset), n_bits)
+        stored = np.frombuffer(buf, dtype="<u8", count=n_samples, offset=offset + 8 * size)
+        if not np.array_equal(stored, vector.samples[:-1].astype(np.uint64)):  # counted from the words
+            raise ValueError("stored rank samples do not match the bits")
+        return vector, offset + 8 * (size + n_samples)

@@ -94,12 +94,12 @@ def unpack(words: np.ndarray, width: int, idx: np.ndarray) -> np.ndarray:
     return out
 
 
-def changes(ordered: np.ndarray, out=None) -> np.ndarray:
+def changes(ordered: np.ndarray) -> np.ndarray:
     """``ordered[i + 1] != ordered[i]`` for each i: where a run of equal neighbours ends.
 
     The one neighbour-compare rule for sorted values (or sorted runs of them).
     """
-    return np.not_equal(ordered[1:], ordered[:-1], out=out)
+    return ordered[1:] != ordered[:-1]
 
 
 def runs(ordered: np.ndarray, t: int = 1) -> tuple[np.ndarray, np.ndarray]:

@@ -45,29 +45,26 @@ _VERSION_TEXT = (
 )
 
 
+def _within(kind, lo, hi=float("inf")):
+    """An argparse ``type``: the text read as ``kind``, rejected unless it lies in [lo, hi]."""
+    def value(text: str):
+        v = kind(text)
+        if not lo <= v <= hi:  # also false for nan
+            raise argparse.ArgumentTypeError(f"must be in [{lo}, {hi}], got {v}")
+        return v
+
+    value.__name__ = kind.__name__  # so text that kind() rejects still reads "invalid int value: 'x'"
+    return value
+
+
 def _add_index_options(p: argparse.ArgumentParser, default_t: int = 2) -> None:
-    p.add_argument("-k", type=int, default=31, help="k-mer length (1..31)")
-    p.add_argument("-t", type=int, default=default_t, help="solidity threshold (1..255)")
-    p.add_argument("-f", type=int, default=12, help="fingerprint width in bits (1..64)")
-    p.add_argument("--gamma", type=float, default=2.0, help=f"hash expansion factor (1.0..{MAX_GAMMA})")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="master seed (0..2**64-1)")
-    p.add_argument("--threads", type=int, default=1, help="worker bound (>= 1)")
-
-
-def _check_ranges(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
-    for name, lo, hi in (("k", 1, MAX_K), ("t", 1, COUNT_CAP), ("f", 1, 64)):
-        value = getattr(args, name, None)
-        if value is not None and not lo <= value <= hi:
-            parser.error(f"-{name} must be in [{lo}, {hi}], got {value}")
-    if not 1.0 <= getattr(args, "gamma", 1.0) <= MAX_GAMMA:  # also false for nan
-        parser.error(f"--gamma must be in [1.0, {MAX_GAMMA}], got {args.gamma}")
-    if getattr(args, "threads", 1) < 1:
-        parser.error(f"--threads must be >= 1, got {args.threads}")
-    if not 0 <= getattr(args, "seed", 0) < 1 << 64:
-        parser.error(f"--seed must be in [0, 2**64), got {args.seed}")
-    window = getattr(args, "w", None)
-    if window is not None and window < args.k:
-        parser.error(f"-w ({window}) must be >= the k-mer length ({args.k})")
+    p.add_argument("-k", type=_within(int, 1, MAX_K), default=31, help="k-mer length (1..31)")
+    p.add_argument("-t", type=_within(int, 1, COUNT_CAP), default=default_t, help="solidity threshold (1..255)")
+    p.add_argument("-f", type=_within(int, 1, 64), default=12, help="fingerprint width in bits (1..64)")
+    gamma = _within(float, 1.0, MAX_GAMMA)
+    p.add_argument("--gamma", type=gamma, default=2.0, help=f"hash expansion factor (1.0..{MAX_GAMMA})")
+    p.add_argument("--seed", type=_within(int, 0, 2**64 - 1), default=DEFAULT_SEED, help="master seed (0..2**64-1)")
+    p.add_argument("--threads", type=_within(int, 1), default=1, help="worker bound (>= 1)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -100,6 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     l.add_argument("-w", type=int, default=None, metavar="W", help="window size (default: whole read)")
     _add_index_options(l)
+    l.set_defaults(usage_error=l.error)  # -w against -k is checked after parsing, and told as linker's error
 
     s = sub.add_parser("sim", help="simulate spot-based noisy reads with ground truth")
     s.add_argument("--genome-len", type=int, required=True)
@@ -108,15 +106,15 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--reads-per-spot", type=int, default=50)
     s.add_argument("--error-rate", type=float, default=0.12)
     s.add_argument("--gap", type=int, default=500, help="minimum gap between spots (>= 0)")
-    s.add_argument("--seed", type=int, default=1)
-    s.add_argument("--threads", type=int, default=1, help="worker bound (>= 1)")
+    s.add_argument("--seed", type=_within(int, 0, 2**64 - 1), default=1)
+    s.add_argument("--threads", type=_within(int, 1), default=1, help="worker bound (>= 1)")
     s.add_argument("-o", required=True, metavar="FASTA", help="simulated reads output")
     s.add_argument("--truth", required=True, metavar="TSV", help="ground-truth pairs output")
 
     v = sub.add_parser("score", help="score linker output against ground truth")
     v.add_argument("--pred", required=True, help="linker output file")
     v.add_argument("--truth", required=True, help="ground-truth pair file")
-    v.add_argument("--threads", type=int, default=1, help="worker bound (>= 1)")
+    v.add_argument("--threads", type=_within(int, 1), default=1, help="worker bound (>= 1)")
 
     st = sub.add_parser("stats", help="index a key set and report size/FP-rate/speed")
     src = st.add_mutually_exclusive_group(required=True)
@@ -173,6 +171,8 @@ def _cmd_counter(args) -> int:
 
 
 def _cmd_linker(args) -> int:
+    if args.w is not None and args.w < args.k:
+        args.usage_error(f"-w ({args.w}) must be >= the k-mer length ({args.k})")
     queries = open_file_of_files(args.q)
     with _whole_output(args.o) as path, open(path, "w", encoding="latin-1") as out:
         run_linker(args.b, queries, out, threshold=args.s, window=args.w, **_index_options(args))
@@ -277,9 +277,7 @@ _DISPATCH = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    _check_ranges(parser, args)
+    args = build_parser().parse_args(argv)
     # Have glibc keep freed heap for reuse, as it does by itself once it has freed a 32 MiB block: the
     # spilled builds free no block that large, so each query batch would fault its scratch back in.
     mallopt = getattr(ctypes.CDLL(None), "mallopt", None) if os.name == "posix" else None

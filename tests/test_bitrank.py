@@ -92,6 +92,20 @@ def test_serialize_roundtrip():
                 RankBitVector.deserialize(blob[:cut])
 
 
+def test_word_count_must_fit_the_bit_count():
+    with pytest.raises(ValueError, match="expected 2 words for 65 bits, got 1"):
+        RankBitVector(np.zeros(1, dtype=np.uint64), 65)
+
+
+@pytest.mark.parametrize("sample", [0, 1, 3])
+def test_deserialize_rejects_rank_samples_the_bits_do_not_give(sample):
+    v = RankBitVector.build(np.random.default_rng(5).random(2000) < 0.5)  # 32 words, 4 blocks
+    blob = bytearray(v.serialize())
+    blob[8 + 8 * len(v.words) + 8 * sample] ^= 1
+    with pytest.raises(ValueError, match="rank samples"):
+        RankBitVector.deserialize(bytes(blob))
+
+
 def test_unaligned_tail_is_masked():
     # from_words path: stray bits above n_bits must not leak into ranks
     words = np.array([0xFFFFFFFFFFFFFFFF], dtype=np.uint64)

@@ -435,6 +435,55 @@ def test_seed_past_u64_exits_2(small_data, command):
     assert err.value.code == 2
 
 
+def _quick_argv(small_data, command):
+    """Every required option of ``command``, with values that parse."""
+    d = small_data["dir"]
+    return {
+        "counter": ["-b", small_data["bank"], "-q", small_data["fof"], "-o", "/dev/null"],
+        "linker": ["-b", small_data["bank"], "-q", small_data["fof"], "-o", "/dev/null"],
+        "sim": ["--genome-len", "20000", "--spots", "4", "--read-len", "30",
+                "-o", str(d / "sim.fa"), "--truth", str(d / "sim.tsv")],
+        "score": ["--pred", str(d / "links.txt"), "--truth", str(d / "truth.tsv")],
+        "stats": ["--random-keys", "100", "--probes", "100", "-k", "11"],
+    }[command]
+
+
+@pytest.mark.parametrize(
+    "command, options, error",
+    [
+        *((command, ["--threads", "0"], "argument --threads: must be in [1, inf], got 0")
+          for command in ("counter", "linker", "sim", "score", "stats")),
+        ("counter", ["-k", "40"], "argument -k: must be in [1, 31], got 40"),
+        ("counter", ["-k", "x"], "argument -k: invalid int value: 'x'"),
+        ("stats", ["-t", "256"], "argument -t: must be in [1, 255], got 256"),
+        ("stats", ["--gamma", "nan"], "argument --gamma: must be in [1.0, 64], got nan"),
+        ("sim", ["--seed", "-1"], "argument --seed: must be in [0, 18446744073709551615], got -1"),
+        ("linker", ["-k", "21", "-w", "10"], "-w (10) must be >= the k-mer length (21)"),
+    ],
+    ids=["counter-threads", "linker-threads", "sim-threads", "score-threads", "stats-threads",
+         "k-above-31", "k-not-int", "t-above-255", "gamma-nan", "sim-seed-negative", "window-below-k"],
+)
+def test_bad_option_value_is_one_line_under_the_subcommands_usage(small_data, capsys, command, options, error):
+    with pytest.raises(SystemExit) as err:
+        main([command, *_quick_argv(small_data, command), *options])
+    assert err.value.code == 2
+    out, lines = capsys.readouterr()
+    assert out == "" and lines.startswith(f"usage: qd {command} ")
+    lines = lines.splitlines()
+    assert lines[-1] == f"qd {command}: error: {error}"
+    assert sum(": error: " in line for line in lines) == 1
+
+
+@pytest.mark.parametrize("option", ["--spots", "--reads-per-spot", "--read-len"])
+def test_sim_without_reads_exits_1(tmp_path, capsys, option):
+    reads, truth = tmp_path / "reads.fa", tmp_path / "truth.tsv"
+    argv = {"--genome-len": "10000", "--spots": "3", "--read-len": "100", "--reads-per-spot": "2", option: "0"}
+    rc = main_sim([*(text for pair in argv.items() for text in pair), "-o", str(reads), "--truth", str(truth)])
+    assert rc == 1
+    assert capsys.readouterr().err == "qd sim: error: spots, reads per spot and read length must be positive\n"
+    assert os.listdir(tmp_path) == []
+
+
 def test_file_of_files_lists_any_filename_byte(small_data):
     # 0xe9 is no UTF-8, but a filesystem name may hold it
     query = os.path.join(os.fsencode(small_data["dir"]), b"q\xe9.fa")

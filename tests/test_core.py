@@ -265,6 +265,11 @@ def test_create_rejects_bad_f():
         QuasiDictionary.create(np.array([1], dtype=np.uint64), f=0)
 
 
+def test_create_rejects_keys_of_two_dimensions():
+    with pytest.raises(ValueError, match="one-dimensional"):
+        QuasiDictionary.create(np.arange(6, dtype=np.uint64).reshape(2, 3))
+
+
 @pytest.mark.parametrize("k", [0, 32, 40])
 def test_create_rejects_a_k_the_loader_refuses(k):
     with pytest.raises(ValueError, match="k-mer length"):
@@ -272,6 +277,16 @@ def test_create_rejects_a_k_the_loader_refuses(k):
 
 
 # ---------------------------------------------------------------- index format
+
+
+def test_deserialize_rejects_a_changed_rank_sample():
+    qd = QuasiDictionary.create(np.arange(5_000, dtype=np.uint64) * 7919, f=12)
+    blob = bytearray(qd.serialize())
+    level = qd.mphf.levels[0]
+    second_sample = blob.index(level.serialize()) + 8 + 8 * len(level.words) + 8
+    blob[second_sample] ^= 1
+    with pytest.raises(ValueError, match="rank samples"):
+        QuasiDictionary.deserialize(bytes(blob))
 
 
 @pytest.mark.parametrize(

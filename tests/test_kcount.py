@@ -1,5 +1,6 @@
 """Solid-k-mer counting against a naive dictionary recount."""
 
+import tempfile
 import tracemalloc
 from itertools import count
 
@@ -129,6 +130,15 @@ def test_load_rejects_truncated_or_padded_file(tmp_path, reads_of):
         SolidKmerTable.load(str(path))
 
 
+def test_load_rejects_a_file_of_another_kind(tmp_path, reads_of):
+    path = tmp_path / "table.skmt"
+    count_solid(reads_of("ACGTTGCAAC"), k=4, t=1).dump(str(path))
+    blob = path.read_bytes()
+    path.write_bytes(bytes([blob[0] ^ 1]) + blob[1:])
+    with pytest.raises(ValueError, match="not a solid k-mer table"):
+        SolidKmerTable.load(str(path))
+
+
 def _table(codes, counts, k=4, t=1):
     return SolidKmerTable(np.array(codes, dtype=np.uint64), np.array(counts, dtype=np.uint8), k, t)
 
@@ -201,6 +211,31 @@ def test_groups_are_invisible(monkeypatch, k, group_kmers, reads_of):
             assert got.codes.tolist() == want.codes.tolist(), name
             assert got.counts.tolist() == want.counts.tolist(), name
             assert (got.k, got.t) == (k, t)
+
+
+class _ShortSpill:
+    """A spill file that reads back one byte short, as one cut off by a full disk would."""
+
+    def __init__(self, make=tempfile.TemporaryFile):
+        self.fh = make()
+
+    def __getattr__(self, name):
+        return getattr(self.fh, name)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def readinto(self, buffer):
+        return self.fh.readinto(memoryview(buffer).cast("B")[:-1])
+
+
+def test_a_spill_that_ends_early_is_an_error(monkeypatch, reads_of):
+    monkeypatch.setattr(kcount.tempfile, "TemporaryFile", _ShortSpill)
+    with pytest.raises(OSError, match="spill file ended early"):
+        count_solid(reads_of("ACGTTGCAACGT", "TTGCAACG"), k=4, t=1)
 
 
 def test_count_does_not_hold_the_bank(tmp_path):
