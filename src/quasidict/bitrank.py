@@ -55,7 +55,7 @@ class RankBitVector:
 
     def get_array(self, pos: np.ndarray) -> np.ndarray:
         """Bits at positions ``pos`` (each in [0, n_bits)), as a bool array."""
-        return unpack(self.words, 1, pos).astype(bool)
+        return unpack(self.words, 1, pos).view(bool)
 
     def rank1_array(self, pos: np.ndarray) -> np.ndarray:
         """Number of set bits before each of ``pos`` (each in [0, n_bits)), as int64."""

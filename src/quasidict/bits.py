@@ -81,7 +81,19 @@ def pack(values: np.ndarray, width: int) -> np.ndarray:
 
 
 def unpack(words: np.ndarray, width: int, idx: np.ndarray) -> np.ndarray:
-    """Entries ``idx`` of ``pack(values, width)``, as uint64: ``unpack(pack(v, w), w, i) == v[i]``."""
+    """Entries ``idx`` of ``pack(values, width)``: ``unpack(pack(v, w), w, i) == v[i]``.
+
+    Width 1 reads ``pack``'s ``np.packbits`` layout back a byte at a time: entry i is bit i & 7 of byte
+    i >> 3 of the words as little-endian bytes, one byte gather per entry, returned as uint8 0/1 (which
+    ``RankBitVector.get_array`` views as bool). Wider entries come back as uint64.
+    """
+    if width == 1:
+        out = words.astype("<u8", copy=False).view(np.uint8)[idx >> 3]
+        shift = idx.astype(np.uint8)  # the low byte, which holds i & 7
+        shift &= np.uint8(7)
+        out >>= shift
+        out &= np.uint8(1)
+        return out
     bitpos = idx.astype(np.uint64)
     bitpos *= U64(width)
     off = bitpos & U64(63)

@@ -90,22 +90,23 @@ def build_parser() -> argparse.ArgumentParser:
     l.add_argument("-o", required=True, metavar="OUT", help="output file")
     l.add_argument(
         "-s",
-        type=int,
+        type=_within(int, 0),
         default=DEFAULT_LINK_THRESHOLD,
         metavar="MIN",
-        help="minimum covered positions to report a target",
+        help="minimum covered positions to report a target (>= 0)",
     )
     l.add_argument("-w", type=int, default=None, metavar="W", help="window size (default: whole read)")
     _add_index_options(l)
     l.set_defaults(usage_error=l.error)  # -w against -k is checked after parsing, and told as linker's error
 
     s = sub.add_parser("sim", help="simulate spot-based noisy reads with ground truth")
-    s.add_argument("--genome-len", type=int, required=True)
-    s.add_argument("--spots", type=int, required=True)
-    s.add_argument("--read-len", type=int, default=2000)
-    s.add_argument("--reads-per-spot", type=int, default=50)
-    s.add_argument("--error-rate", type=float, default=0.12)
-    s.add_argument("--gap", type=int, default=500, help="minimum gap between spots (>= 0)")
+    positive = _within(int, 1)
+    s.add_argument("--genome-len", type=positive, required=True)
+    s.add_argument("--spots", type=positive, required=True)
+    s.add_argument("--read-len", type=positive, default=2000)
+    s.add_argument("--reads-per-spot", type=positive, default=50)
+    s.add_argument("--error-rate", type=_within(float, 0), default=0.12)
+    s.add_argument("--gap", type=_within(int, 0), default=500, help="minimum gap between spots (>= 0)")
     s.add_argument("--seed", type=_within(int, 0, 2**64 - 1), default=1)
     s.add_argument("--threads", type=_within(int, 1), default=1, help="worker bound (>= 1)")
     s.add_argument("-o", required=True, metavar="FASTA", help="simulated reads output")
@@ -119,8 +120,8 @@ def build_parser() -> argparse.ArgumentParser:
     st = sub.add_parser("stats", help="index a key set and report size/FP-rate/speed")
     src = st.add_mutually_exclusive_group(required=True)
     src.add_argument("-b", metavar="BANK", help="bank read set to index")
-    src.add_argument("--random-keys", type=int, metavar="N", help="index N random k-mer codes")
-    st.add_argument("--probes", type=int, default=1_000_000, help="non-key probe count")
+    src.add_argument("--random-keys", type=_within(int, 0), metavar="N", help="index N random k-mer codes")
+    st.add_argument("--probes", type=_within(int, 0), default=1_000_000, help="non-key probe count (>= 0)")
     _add_index_options(st, default_t=1)
 
     return parser
@@ -163,7 +164,18 @@ def _whole_output(path: str):
         raise
 
 
+def _keep_freed_heap() -> None:
+    """Have glibc keep freed heap for reuse, as it does by itself once it has freed a 32 MiB block: the read
+    tools' spilled builds free no block that large, so each query batch would fault its scratch back in."""
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None) if os.name == "posix" else None
+    if mallopt is not None:
+        mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+        mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD, at the ceiling of glibc's own dynamic threshold
+        mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD, twice it, as glibc's dynamic rule sets it
+
+
 def _cmd_counter(args) -> int:
+    _keep_freed_heap()
     queries = open_file_of_files(args.q)
     with _whole_output(args.o) as path, open(path, "w", encoding="latin-1") as out:
         run_counter(args.b, queries, out, **_index_options(args))
@@ -173,6 +185,7 @@ def _cmd_counter(args) -> int:
 def _cmd_linker(args) -> int:
     if args.w is not None and args.w < args.k:
         args.usage_error(f"-w ({args.w}) must be >= the k-mer length ({args.k})")
+    _keep_freed_heap()
     queries = open_file_of_files(args.q)
     with _whole_output(args.o) as path, open(path, "w", encoding="latin-1") as out:
         run_linker(args.b, queries, out, threshold=args.s, window=args.w, **_index_options(args))
@@ -278,13 +291,6 @@ _DISPATCH = {
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    # Have glibc keep freed heap for reuse, as it does by itself once it has freed a 32 MiB block: the
-    # spilled builds free no block that large, so each query batch would fault its scratch back in.
-    mallopt = getattr(ctypes.CDLL(None), "mallopt", None) if os.name == "posix" else None
-    if mallopt is not None:
-        mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
-        mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD, at the ceiling of glibc's own dynamic threshold
-        mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD, twice it, as glibc's dynamic rule sets it
     try:
         return _DISPATCH[args.command](args)
     except (OSError, ValueError, MemoryError) as exc:

@@ -13,11 +13,19 @@ instead of the whole read. Targets reach the output only when they share
 at least ``threshold`` k-mer positions with the query, which suppresses
 one-off coincidental matches. The measure is intentionally asymmetric
 between query and target.
+
+The query reads go in batches, one query per batch, and a batch's links
+leave as columns (query read id, target, score, window start) in output
+order, which one writer turns into the batch's output lines; no per-link
+object is made. ``link_read`` builds its ``MatchResult`` list from its one
+read's links, and ``format_link_line`` is the writer's line for a batch of
+one read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import count, repeat
 from os.path import realpath
 from typing import Iterable, Optional, TextIO
 
@@ -142,14 +150,19 @@ def link_read(
     """
     positions, codes = scan_kmers(read.seq, index.k)
     lengths, sizes = np.array([len(read.seq)]), np.array([len(codes)])
-    return _link_batch(index, read.id, lengths, positions, codes, sizes, threshold, window, exclude_self)[0]
+    _, target, score, start = _link_batch(
+        index, read.id, lengths, positions, codes, sizes, threshold, window, exclude_self
+    )
+    starts = repeat(None) if start is None else start.tolist()
+    return [MatchResult(read.id, t, s, w) for t, s, w in zip(target.tolist(), score.tolist(), starts)]
 
 
 def _link_batch(
     index: LinkerIndex, first: int, lengths, positions, codes, sizes, threshold: int, window, exclude_self: bool
-) -> list[list[MatchResult]]:
-    """``link_read``'s result for each read of a scanned batch whose first read id is ``first``, with one
-    query for the batch (``kcount.scan_batches``)."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, Optional[np.ndarray]]:
+    """The links of a scanned batch whose first read id is ``first`` (``kcount.scan_batches``), with one
+    query for the batch, as columns in output order: query read id, target, score and window start (None in
+    whole-read mode), by query read, then descending score, then target."""
     if window is not None and window < index.k:
         raise ValueError(f"window ({window}) must be >= k ({index.k})")
     slots = index.qd.query_array(codes)
@@ -178,12 +191,8 @@ def _link_batch(
     w = L if window is None else min(window, L)
     best, win_starts = _best_windows(key, L, w, index.k)
     good = np.flatnonzero(best >= threshold)
-    order = good[np.lexsort((target[good], -best[good]))]  # then split by query read
-    ws = [None] * len(order) if window is None else win_starts[order].tolist()
-    matches: list[list[MatchResult]] = [[] for _ in lengths]
-    for q, t, b, s in zip(query[order].tolist(), target[order].tolist(), best[order].tolist(), ws):
-        matches[q].append(MatchResult(first + q, t, b, s))
-    return matches
+    order = good[np.lexsort((target[good], -best[good], query[good]))]
+    return first + query[order], target[order], best[order], None if window is None else win_starts[order]
 
 
 def _best_windows(key: np.ndarray, L: int, w: int, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -221,14 +230,25 @@ def _best_windows(key: np.ndarray, L: int, w: int, k: int) -> tuple[np.ndarray, 
     return top >> cb, L - w - (top & (1 << cb) - 1)
 
 
+def _link_lines(first: int, n_reads: int, links) -> str:
+    """The output lines of reads ``first`` to ``first + n_reads - 1`` from their ``_link_batch`` columns:
+    each read's links in order, as ``target-score`` or, in windowed mode, ``target-score@start``."""
+    query, target, score, start = links
+    if start is None:
+        parts = [f"{t}-{s}" for t, s in zip(target.tolist(), score.tolist())]
+    else:
+        parts = [f"{t}-{s}@{w}" for t, s, w in zip(target.tolist(), score.tolist(), start.tolist())]
+    cut = np.searchsorted(query, np.arange(first, first + n_reads + 1)).tolist()  # each read's first link
+    return "".join([f"{rid}:{' '.join(parts[a:b])}\n" for rid, a, b in zip(count(first), cut, cut[1:])])
+
+
 def format_link_line(read_id: int, matches: list[MatchResult]) -> str:
-    parts = []
-    for m in matches:
-        if m.window_start is None:
-            parts.append(f"{m.target_id}-{m.score}")
-        else:
-            parts.append(f"{m.target_id}-{m.score}@{m.window_start}")
-    return f"{read_id}:" + " ".join(parts)
+    """One read's output line: the batch writer's line for a batch of that one read."""
+    target = np.array([m.target_id for m in matches], dtype=np.int64)
+    score = np.array([m.score for m in matches], dtype=np.int64)
+    windowed = bool(matches) and matches[0].window_start is not None
+    start = np.array([m.window_start for m in matches]) if windowed else None
+    return _link_lines(read_id, 1, (np.full(len(matches), read_id), target, score, start))[:-1]
 
 
 def run_linker(
@@ -253,6 +273,5 @@ def run_linker(
     for path in query_paths:
         self_mode = realpath(path) == bank_real
         for first, lengths, _, positions, codes, sizes in scan_batches(path, index.k):
-            matches = _link_batch(index, first, lengths, positions, codes, sizes, threshold, window, self_mode)
-            for rid, found in enumerate(matches, first):
-                out.write(format_link_line(rid, found) + "\n")
+            links = _link_batch(index, first, lengths, positions, codes, sizes, threshold, window, self_mode)
+            out.write(_link_lines(first, len(lengths), links))

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from quasidict import kcount, seqio
+from quasidict import counter, kcount, linker, seqio
 from quasidict.counter import build_counter_index, count_read, format_count_line, run_counter
 from quasidict.kcount import scan_batches
 from quasidict.kmer import scan_kmers
@@ -90,6 +90,34 @@ def test_tools_match_per_read_calls(case):
         format_link_line(read.id, link_read(linker_index, read, threshold, window, self_mode)) + "\n"
         for read in reads
     )
+
+
+def test_query_pass_makes_no_result_object(tmp_path, monkeypatch):
+    """The tools hand each batch's results to their writer as columns: no CountStats and no MatchResult,
+    while the one-read calls still return them."""
+    made = []
+
+    def counted(cls):
+        class Counted(cls):
+            def __init__(self, *args):
+                made.append(cls.__name__)
+                super().__init__(*args)
+
+        return Counted
+
+    genome = "ACGTTGCAACGGTCATTGCAAGCTTACG" * 3
+    bank = write_reads(str(tmp_path / "bank.fa"), [genome[:50], genome[20:], genome[5:70]])
+    query = write_reads(str(tmp_path / "q.fa"), [genome[10:60], "ACGT" * 9, genome])
+    monkeypatch.setattr(counter, "CountStats", counted(counter.CountStats))
+    monkeypatch.setattr(linker, "MatchResult", counted(linker.MatchResult))
+    counts, links = io.StringIO(), io.StringIO()
+    run_counter(bank, [query], counts, k=5, t=1)
+    run_linker(bank, [query], links, k=5, t=1, threshold=1, window=8)
+    assert made == [] and "none" in counts.getvalue() and "@" in links.getvalue()
+    read = next(open_reads(query))
+    assert count_read(build_counter_index(bank, k=5, t=1), read) is not None
+    assert link_read(build_linker_index(bank, k=5, t=1), read, threshold=1)
+    assert "CountStats" in made and "MatchResult" in made
 
 
 @settings(deadline=None, max_examples=200)

@@ -112,3 +112,15 @@ def test_unaligned_tail_is_masked():
     v = RankBitVector(words, 10)
     assert v.n_ones == 10
     assert v.rank1_array(np.array([9])).tolist() == [9]
+
+
+@pytest.mark.parametrize("n_bits", [2001, 4096])
+def test_get_array_on_a_deserialized_vector(n_bits):
+    # a file's level bits are read in place: 4096 bits keep the words a read-only view of the buffer, and
+    # 2001 end inside a byte, so get_array's byte reads see the masked tail
+    bits = np.random.default_rng(n_bits).random(n_bits) < 0.3
+    v = RankBitVector.deserialize(RankBitVector.build(bits).serialize())[0]
+    assert v.words.flags.writeable == bool(n_bits % 64)
+    pos = np.random.default_rng(1).permutation(np.arange(n_bits).repeat(2))
+    got = v.get_array(pos)
+    assert got.dtype == bool and got.tolist() == bits[pos].tolist()

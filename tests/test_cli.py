@@ -61,6 +61,17 @@ def test_linker_end_to_end(small_data):
     assert len(Path(out).read_text().splitlines()) == 20
 
 
+def test_linker_min_zero_sets_no_minimum(small_data):
+    # every reported pair shares a k-mer, which covers k >= 1 positions, so -s 0 reports what -s 1 does
+    outs = []
+    for minimum in ("0", "1"):
+        out = small_data["dir"] / f"links-s{minimum}.txt"
+        argv = ["linker", "-b", small_data["bank"], "-q", small_data["fof"], "-o", str(out), "-k", "11", "-t", "1"]
+        assert main([*argv, "-s", minimum]) == 0
+        outs.append(out.read_text())
+    assert outs[0] == outs[1] and "-" in outs[0]
+
+
 def test_alias_entry_points(small_data, capsys):
     out = str(small_data["dir"] / "alias.tsv")
     rc = main_counter(["-b", small_data["bank"], "-q", small_data["fof"], "-o", out, "-k", "11", "-t", "1"])
@@ -121,18 +132,6 @@ def test_score_error_names_the_line(tmp_path, capsys, pred, truth, bad, line):
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith(f"qd score: error: {paths[bad]}:{line}: expected ") and err.count("\n") == 1
-
-
-def test_sim_negative_gap_exits_1(tmp_path, capsys):
-    # a gap of -900 would plant overlapping spots whose overlaps the truth does not hold
-    reads, truth = tmp_path / "reads.fa", tmp_path / "truth.tsv"
-    rc = main_sim(
-        ["--genome-len", "10000", "--spots", "3", "--read-len", "1000", "--reads-per-spot", "2",
-         "--gap", "-900", "--seed", "1", "-o", str(reads), "--truth", str(truth)]
-    )
-    assert rc == 1
-    assert capsys.readouterr().err == "qd sim: error: gap between spots must be >= 0, got -900\n"
-    assert not reads.exists() and not truth.exists()
 
 
 def test_invalid_f_exits_2(small_data):
@@ -459,9 +458,19 @@ def _quick_argv(small_data, command):
         ("stats", ["--gamma", "nan"], "argument --gamma: must be in [1.0, 64], got nan"),
         ("sim", ["--seed", "-1"], "argument --seed: must be in [0, 18446744073709551615], got -1"),
         ("linker", ["-k", "21", "-w", "10"], "-w (10) must be >= the k-mer length (21)"),
+        ("linker", ["-s", "-5"], "argument -s: must be in [0, inf], got -5"),
+        *(("sim", [option, "0"], f"argument {option}: must be in [1, inf], got 0")
+          for option in ("--genome-len", "--spots", "--read-len", "--reads-per-spot")),
+        ("sim", ["--gap", "-900"], "argument --gap: must be in [0, inf], got -900"),
+        ("sim", ["--error-rate", "-0.1"], "argument --error-rate: must be in [0, inf], got -0.1"),
+        ("stats", ["--random-keys", "-1"], "argument --random-keys: must be in [0, inf], got -1"),
+        ("stats", ["--probes", "-3"], "argument --probes: must be in [0, inf], got -3"),
     ],
     ids=["counter-threads", "linker-threads", "sim-threads", "score-threads", "stats-threads",
-         "k-above-31", "k-not-int", "t-above-255", "gamma-nan", "sim-seed-negative", "window-below-k"],
+         "k-above-31", "k-not-int", "t-above-255", "gamma-nan", "sim-seed-negative", "window-below-k",
+         "linker-s-negative", "sim-genome-len-zero", "sim-spots-zero", "sim-read-len-zero",
+         "sim-reads-per-spot-zero", "sim-gap-negative", "sim-error-rate-negative",
+         "stats-random-keys-negative", "stats-probes-negative"],
 )
 def test_bad_option_value_is_one_line_under_the_subcommands_usage(small_data, capsys, command, options, error):
     with pytest.raises(SystemExit) as err:
@@ -472,16 +481,6 @@ def test_bad_option_value_is_one_line_under_the_subcommands_usage(small_data, ca
     lines = lines.splitlines()
     assert lines[-1] == f"qd {command}: error: {error}"
     assert sum(": error: " in line for line in lines) == 1
-
-
-@pytest.mark.parametrize("option", ["--spots", "--reads-per-spot", "--read-len"])
-def test_sim_without_reads_exits_1(tmp_path, capsys, option):
-    reads, truth = tmp_path / "reads.fa", tmp_path / "truth.tsv"
-    argv = {"--genome-len": "10000", "--spots": "3", "--read-len": "100", "--reads-per-spot": "2", option: "0"}
-    rc = main_sim([*(text for pair in argv.items() for text in pair), "-o", str(reads), "--truth", str(truth)])
-    assert rc == 1
-    assert capsys.readouterr().err == "qd sim: error: spots, reads per spot and read length must be positive\n"
-    assert os.listdir(tmp_path) == []
 
 
 def test_file_of_files_lists_any_filename_byte(small_data):
@@ -576,8 +575,6 @@ def test_stats_from_bank_file(small_data, capsys):
     [
         ["--random-keys", "5", "-k", "1"],  # more keys than 4^k codes
         ["--random-keys", "4", "-k", "1", "--probes", "10"],  # no code left to probe
-        ["--random-keys", "-1"],
-        ["--random-keys", "10", "--probes", "-3"],
     ],
 )
 def test_stats_impossible_request_is_one_line_error(argv, capsys):

@@ -120,6 +120,18 @@ def test_error_rate_bounds():
         small_cfg(error_rate=0.5).validate()
 
 
+@pytest.mark.parametrize("field", ["n_spots", "reads_per_spot", "read_length"])
+def test_config_without_reads_rejected(field):
+    with pytest.raises(ValueError, match="^spots, reads per spot and read length must be positive$"):
+        small_cfg(**{field: 0}).validate()
+
+
+def test_negative_gap_rejected():
+    # spots would overlap, and the truth holds only same-spot pairs
+    with pytest.raises(ValueError, match=r"^gap between spots must be >= 0, got -900$"):
+        small_cfg(spot_min_gap=-900).validate()
+
+
 def test_substitution_only_divergence_near_rate():
     # substitution-only runs keep alignment, so Hamming distance estimates
     # the per-base error rate directly
