@@ -1,10 +1,10 @@
 """Packed bit vector with constant-time rank-of-ones.
 
-The vector stores one cumulative popcount sample per 512-bit block
-(12.5% overhead) plus a trailing total, and in memory a uint16 count of
-the ones before each word inside its block. ``rank1_array`` answers many
-positions at once as block sample + in-block word count + one masked
-word popcount.
+In memory the vector keeps one count per word, the ones before it, and then
+the total, in the narrowest unsigned word that holds the bit count: at most
+2 bytes per 64 bits below 2^16 bits, 4 below 2^32. ``rank1_array`` answers
+many positions at once as that count plus one masked word popcount. The file
+keeps every eighth count, one per 512-bit block (12.5% overhead).
 """
 
 from __future__ import annotations
@@ -15,14 +15,14 @@ import numpy as np
 
 from .bits import U64, check_room, n_words, pack, unpack
 
-BLOCK_BITS = 512
-WORDS_PER_BLOCK = BLOCK_BITS // 64
+# the serialized form keeps one rank sample per 512 bits
+WORDS_PER_BLOCK = 8
 
 
 class RankBitVector:
     """Immutable bit array of length ``n_bits`` answering rank queries."""
 
-    __slots__ = ("words", "n_bits", "samples", "in_block", "n_ones")
+    __slots__ = ("words", "n_bits", "before", "n_ones")
 
     def __init__(self, words: np.ndarray, n_bits: int):
         words = np.ascontiguousarray(words, dtype=np.uint64)
@@ -35,14 +35,9 @@ class RankBitVector:
             words[-1] &= (U64(1) << U64(n_bits & 63)) - U64(1)
         self.words = words
         self.n_bits = n_bits
-        n_blocks = (size + WORDS_PER_BLOCK - 1) // WORDS_PER_BLOCK
-        per_word = np.zeros(n_blocks * WORDS_PER_BLOCK, dtype=np.uint16)
-        per_word[:size] = np.bitwise_count(words)
-        per_word = per_word.reshape(n_blocks, WORDS_PER_BLOCK)
-        through = np.cumsum(per_word, axis=1, dtype=np.uint16)  # at most 512
-        self.in_block = (through - per_word).ravel()[:size]  # at most 448
-        self.samples = np.concatenate([[0], np.cumsum(through[:, -1], dtype=np.int64)])
-        self.n_ones = int(self.samples[-1])
+        self.before = np.zeros(size + 1, dtype=np.min_scalar_type(n_bits))
+        np.cumsum(np.bitwise_count(words), dtype=self.before.dtype, out=self.before[1:])
+        self.n_ones = int(self.before[-1])
 
     @classmethod
     def build(cls, bits) -> "RankBitVector":
@@ -62,7 +57,7 @@ class RankBitVector:
         p = pos.astype(np.int64, copy=False)
         w = p >> 6
         below = (U64(1) << (p & 63).astype(np.uint64)) - U64(1)
-        return self.samples[p >> 9] + self.in_block[w] + np.bitwise_count(self.words[w] & below)
+        return np.add(self.before[w], np.bitwise_count(self.words[w] & below), dtype=np.int64)
 
     def serialize(self) -> bytes:
         """Little-endian: bit count, packed words, one rank sample per block.
@@ -72,7 +67,7 @@ class RankBitVector:
         return (
             struct.pack("<Q", self.n_bits)
             + self.words.astype("<u8").tobytes()
-            + self.samples[:-1].astype("<u8").tobytes()
+            + self.before[:-1:WORDS_PER_BLOCK].astype("<u8").tobytes()
         )
 
     @classmethod
@@ -86,6 +81,6 @@ class RankBitVector:
         check_room(buf, offset, 8 * (size + n_samples))
         vector = cls(np.frombuffer(buf, dtype="<u8", count=size, offset=offset), n_bits)
         stored = np.frombuffer(buf, dtype="<u8", count=n_samples, offset=offset + 8 * size)
-        if not np.array_equal(stored, vector.samples[:-1].astype(np.uint64)):  # counted from the words
+        if not np.array_equal(stored, vector.before[:-1:WORDS_PER_BLOCK]):  # counted from the words
             raise ValueError("stored rank samples do not match the bits")
         return vector, offset + 8 * (size + n_samples)

@@ -167,8 +167,9 @@ def _link_batch(
         raise ValueError(f"window ({window}) must be >= k ({index.k})")
     slots = index.qd.query_array(codes)
     hit = slots >= 0
-    starts = index.offsets[slots[hit]]
-    lens = index.offsets[slots[hit] + 1] - starts
+    found = slots[hit]
+    starts = index.offsets[found]
+    lens = index.offsets[found + 1] - starts
     tgt = index.ids[_spans(starts, lens)]
     # one incidence per (query position, bank read in that k-mer's posting list), keyed
     # ((read << tb | target) << sb) | position with 2^sb > L, the batch's longest read, and sorted

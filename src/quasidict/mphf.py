@@ -3,14 +3,15 @@
 Cascade-of-bitmaps construction: level l hashes its surviving keys into
 ``gamma * n_l`` slots; slots hit exactly once are frozen into a rank-enabled
 bitmap and their keys are done, colliding keys fall through to the next
-level. Keys still unresolved after 64 levels land in an exact fallback map.
-A key's dense index is the number of frozen slots before its own, which one
-rank query per level answers in constant time. Equal keys share their
-position at every level, so none of them is ever frozen: every copy of a
-duplicated key reaches the fallback, where construction finds it among its
-sorted neighbours. A level that freezes no key checks its survivors the same
-way, so many copies of one key are rejected at the first level, not after
-all 64.
+level. The cascade stops after 64 levels, or sooner once ``FALLBACK_CUTOFF``
+(4) or fewer keys remain, and the keys still unresolved land in an exact
+fallback map. A key's dense index is the number of frozen slots before its
+own, which one rank query per level answers in constant time. Equal keys
+share their position at every level, so none of them is ever frozen: every
+copy of a duplicated key reaches the fallback, where construction finds it
+among its sorted neighbours. A level that freezes no key checks its
+survivors the same way, so many copies of one key are rejected at the first
+level, not after all 64.
 
 Lookups restricted to the construction keys are a bijection onto
 [0, N-1]; foreign keys return an arbitrary index or NOT_FOUND.

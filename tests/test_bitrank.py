@@ -62,8 +62,16 @@ def test_rank_properties():
 
 def test_overhead_budget():
     v = RankBitVector.build(np.ones(100_000, dtype=np.uint8))
-    # serialized footprint: packed words plus one rank sample per block
-    assert (len(v.words) + len(v.samples) - 1) * 64 <= 100_000 * 1.25 + 1024
+    # serialized footprint: bit count, packed words and one rank sample per block
+    assert len(v.serialize()) * 8 <= 100_000 * 1.25 + 1024
+
+
+@pytest.mark.parametrize("n_bits, width", [(0, 2), (255, 2), (2**16 - 1, 2), (2**16, 4), (2**22, 4)])
+def test_rank_counts_take_the_narrowest_word(n_bits, width):
+    # one count per word and the total, at most 2 bytes each below 2^16 bits and 4 below 2^32
+    v = RankBitVector(np.full(-(-n_bits // 64), 2**64 - 1, dtype=np.uint64), n_bits)
+    assert len(v.before) == len(v.words) + 1 and v.before.itemsize <= width
+    assert v.n_ones == n_bits
 
 
 def test_pack_roundtrip():
@@ -124,3 +132,5 @@ def test_get_array_on_a_deserialized_vector(n_bits):
     pos = np.random.default_rng(1).permutation(np.arange(n_bits).repeat(2))
     got = v.get_array(pos)
     assert got.dtype == bool and got.tolist() == bits[pos].tolist()
+    ranks = v.rank1_array(np.arange(n_bits))
+    assert ranks.dtype == np.int64 and ranks.tolist() == naive_prefix_counts(bits)[:-1].tolist()
