@@ -1,23 +1,19 @@
 """2-bit k-mer codes of every window of a nucleotide string, in canonical form.
 
-A k-mer (k <= 31) packs into one unsigned word, two bits per base
-(A=0, C=1, G=2, T=3), most significant base first, so numeric order of
-codes equals lexicographic order of strings. Arrays of codes use the
-narrowest word that holds 2k bits (:func:`code_word`): 32 bits up to
-k = 16, else 64. The canonical form of a k-mer is the smaller of the code
-and its reverse-complement code; both strands of a DNA fragment therefore
-index identically.
+A k-mer (k <= 31) packs into one unsigned word, two bits per base (A=0, C=1, G=2, T=3), most
+significant first, so code order is string order; arrays use the narrowest word that holds 2k bits
+(:func:`code_word`). The canonical form, the smaller of the code and its reverse-complement code, is
+the same on both strands. A byte b is a nucleotide exactly when b | 0x20 is one of a, c, g, t; its
+digit ((b >> 1) ^ (b >> 2)) & 3 is 0, 1, 2, 3 for A, C, G, T, and any other byte's only feeds dropped windows.
 
-With digits d[0..k-1] of a window, the code is Σ d[j]·4^(k-1-j) and the
-reverse-complement code is Σ (3 - d[j])·4^j. A sequence's windows are coded
-all at once by doubling: the code of the s digits from position i, shifted
-up by 2s bits and OR-ed with the code of the s digits from i + s, is the code
-of the 2s digits from i, so ⌈log₂k⌉ whole-array steps reach a span of at
-least k digits (at most 32, one 64-bit word). The reverse-complement codes
-hold the first digit lowest, so they double the other way round: the code
-from i + s, shifted up by 2s bits, is OR-ed onto the code from i. One shift
-(forward) or one mask (reverse) then cuts each span code to its first k
-digits.
+With digits d[0..k-1], the code is Σ d[j]·4^(k-1-j) and the reverse-complement code Σ (3 - d[j])·4^j.
+All windows are coded at once by doubling: the code of the s digits from i, shifted up by 2s bits and
+OR-ed with that from i + s, is the code of the 2s digits from i (a reverse complement holds its first
+digit lowest, so there the code from i + s goes up). Each strand doubles only to h digits, half a code
+word, in half-width words: 8 digits in 16 bits up to k = 16, else 16 in 32. The 2h-digit code from i
+is the halves from i and i + h, the first high on the forward strand and low on the reverse one: side
+by side as little-endian words, low first, the pair read as one little-endian word of twice the width
+is that code on any host. One shift (forward) or one mask (reverse) then cuts it to its first k digits.
 """
 
 from __future__ import annotations
@@ -27,11 +23,6 @@ import numpy as np
 from .bits import U64
 
 MAX_K = 31
-
-# byte value -> 2-bit code, 255 marks any non-nucleotide
-_LUT = np.full(256, 255, dtype=np.uint8)
-for _i, _ch in enumerate("ACGTacgt"):
-    _LUT[ord(_ch)] = _i & 3
 
 
 def check_k(k: int) -> None:
@@ -48,50 +39,59 @@ def code_word(k: int) -> type:
 def scan_kmers(seq: str, k: int) -> tuple[np.ndarray, np.ndarray]:
     """All valid windows of ``seq`` at once.
 
-    Returns (positions, canonical codes): one entry per 0-based start
-    position whose k-length window contains only A/C/G/T; windows touching
-    any other character are skipped. The positions are int64 and the codes
-    come in ``code_word(k)``, the word they were computed in: 4 bytes per
-    k-mer up to k = 16, else 8.
-
-    Each strand's codes double in place in one array of that word, as the
-    module docstring describes: after each step, entry i holds the code of
-    the ``span`` digits from i, where digits past the end of ``seq`` read as
-    zero. A window that starts at i <= len(seq) - k has all k digits inside
-    ``seq``, so that padding lands only in digits the final shift or mask
-    drops, and the last entries need no step of their own.
+    Returns (positions, canonical codes): one entry per 0-based start position whose k-length window
+    contains only A/C/G/T; windows touching any other character are skipped. The positions are int64,
+    the codes ``code_word(k)``. After each doubling step a strand's entry i holds the code of the
+    ``span`` digits from i, digits past ``seq`` read as zero; the strands of m windows run to
+    max(len(seq), m + h) entries, so every window has its half from i + h, and that padding lands only
+    in digits the final shift or mask drops. Each buffer goes once no later step reads it: on bases
+    with no other byte the traced peak is about 18 bytes per base up to k = 16 and 28 above (the
+    positions' 8, one strand's codes, the other's pair as it is built and that strand's halves).
     """
     check_k(k)
     word = code_word(k)
     raw = np.frombuffer(seq.encode("latin-1", errors="replace"), dtype=np.uint8)
-    if len(raw) < k:
+    n, m = len(raw), len(raw) - k + 1
+    if m < 1:
         return np.empty(0, np.int64), np.empty(0, word)
-    vals = np.take(_LUT, raw)
-    # after OR-doubling up to p, the largest power of two <= k, bad[i] flags a
-    # non-ACGT byte in [i, i + p); one more OR from i + k - p (< p) makes it [i, i + k)
-    bad = vals == 255
+    low = raw | 0x20
+    bad = low != ord("a")
+    for ch in b"cgt":
+        bad &= low != ch
+    # OR-doubling to p, the largest power of two <= k, and one OR from k - p: bad[i] flags [i, i + k)
     p = 1
     while 2 * p <= k:
         bad[:-p] |= bad[p:]
         p *= 2
-    bad[: len(bad) - (k - p)] |= bad[k - p :]
-    positions = np.flatnonzero(~bad[: len(raw) - k + 1])
-    # a non-ACGT byte leaves a digit 3 that spoils only the windows dropped above
-    forward = (vals & 3).astype(word)
-    reverse = forward ^ word(3)
-    # every step's shifted copy goes to one full-length buffer: fresh temporaries
-    # of a different length at each step fragment the heap and raised the
-    # linker's peak RSS
-    spare = np.empty_like(forward)
-    span = 1
-    while span < k:
-        shift = word(2 * span)
-        forward <<= shift
-        np.right_shift(forward[span:], shift, out=spare[:-span])
-        forward[:-span] |= spare[:-span]
+    bad[: n - (k - p)] |= bad[k - p :]
+    positions = np.flatnonzero(np.logical_not(bad[:m], out=bad[:m]))
+    h, half = (8, np.uint16) if k <= 16 else (16, np.uint32)
+    forward = np.zeros(max(n, m + h), half)
+    np.bitwise_and((raw >> 1) ^ (raw >> 2), 3, out=forward[:n])
+    del raw, low, bad
+    # each step doubles a strand into the spare buffer, which then takes its place: no fresh temporary
+    reverse, spare = forward ^ half(3), np.empty_like(forward)
+    for span in (s for s in (1, 2, 4, 8) if s < h):
+        shift = half(2 * span)
+        np.left_shift(forward, shift, out=spare)
+        spare[:-span] |= forward[span:]
+        forward, spare = spare, forward
         np.left_shift(reverse[span:], shift, out=spare[:-span])
-        reverse[:-span] |= spare[:-span]
-        span *= 2
-    forward >>= word(2 * (span - k))
+        spare[:-span] |= reverse[:-span]
+        spare[-span:] = reverse[-span:]
+        reverse, spare = spare, reverse
+    del spare
+    forward = _paired(forward[h : h + m], forward[:m], word)
+    reverse = _paired(reverse[:m], reverse[h : h + m], word)
+    forward >>= word(2 * (2 * h - k))
     reverse &= word((1 << 2 * k) - 1)
-    return positions, np.minimum(forward, reverse, out=forward)[positions]
+    np.minimum(forward, reverse, out=forward)
+    del reverse
+    return positions, forward[positions]
+
+
+def _paired(low: np.ndarray, high: np.ndarray, word: type) -> np.ndarray:
+    """``high`` << (8 · its item size) | ``low`` in ``word``, via little-endian halves side by side."""
+    pair = np.empty((len(low), 2), low.dtype.newbyteorder("<"))
+    pair[:, 0], pair[:, 1] = low, high
+    return pair.view(f"<u{2 * low.itemsize}")[:, 0].astype(word, copy=False)

@@ -1,9 +1,11 @@
 """Shared fixture helpers: distinct random keys, unpacked bit words, the
 string oracle of canonical k-mer codes, the line-by-line oracle of the read
-parser, synthetic read sets with genuine k-mer overlap, damaged gzip."""
+parser, synthetic read sets with genuine k-mer overlap, damaged gzip, traced
+peaks."""
 
 import gzip
 import re
+import tracemalloc
 import zlib
 from itertools import chain, zip_longest
 
@@ -138,3 +140,18 @@ def damaged_gzip(data: bytes, damage: str) -> bytes:
     assert (packed[10] >> 1) & 3 in (1, 2)
     packed[10] ^= 2 if (packed[10] >> 1) & 3 == 2 else 4
     return bytes(packed)
+
+
+def traced_peak(build):
+    """Traced peak bytes of ``build()`` above what was allocated before it."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        build()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()

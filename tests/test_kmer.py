@@ -8,7 +8,7 @@ import pytest
 from quasidict.kcount import solid_table
 from quasidict.kmer import MAX_K, scan_kmers
 
-from conftest import window_oracle
+from conftest import traced_peak, window_oracle
 
 
 def naive_encode(s):
@@ -122,6 +122,24 @@ def test_scan_matches_naive_oracle_with_noise():
         positions, codes = scan_kmers(seq, k)
         got = list(zip(positions.tolist(), codes.tolist()))
         assert got == window_oracle(seq, k)
+
+
+@pytest.mark.parametrize("k", [1, 2, 17])
+def test_every_byte_value_against_the_oracle(k):
+    # a byte is a nucleotide by arithmetic on its value, not by a table: all 256 values, between ACGT runs
+    rng = np.random.default_rng(k)
+    seq = "".join(random_sequence(rng, 20) + chr(b) for b in range(256)) + random_sequence(rng, 20)
+    positions, codes = scan_kmers(seq, k)
+    assert list(zip(positions.tolist(), codes.tolist())) == window_oracle(seq, k)
+
+
+@pytest.mark.parametrize("k, bound", [(15, 27), (31, 43)])
+def test_scan_scratch_per_base(k, bound):
+    """One call's traced peak per base of an all-ACGT sequence: 27 and 43 bytes when each strand
+    doubled in whole code words; about 18 and 28 since it doubles in halves that are freed in turn."""
+    seq = random_sequence(np.random.default_rng(k), 1 << 16)
+    per_base = traced_peak(lambda: scan_kmers(seq, k)) / len(seq)
+    assert per_base <= bound, f"{per_base:.1f} bytes per base"
 
 
 def pin_sequence():

@@ -3,7 +3,6 @@
 import io
 import os
 import tempfile
-import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -19,7 +18,7 @@ from quasidict.kmer import scan_kmers
 from quasidict.linker import MatchResult, build_linker_index, format_link_line, link_read, run_linker
 from quasidict.seqio import ReadRecord
 
-from conftest import random_genome, reads_from_genome, window_oracle, write_fasta
+from conftest import random_genome, reads_from_genome, traced_peak, window_oracle, write_fasta
 
 
 def kmer_set(seq, k):
@@ -114,21 +113,6 @@ def test_postings_stay_exact_even_at_tiny_f(tmp_path):
 
 def bank_kmers(path, k):
     return sum(len(codes) for *_, codes, _ in kcount.scan_batches(path, k))
-
-
-def traced_peak(build):
-    """Traced peak bytes of ``build()`` above what was allocated before it."""
-    tracing = tracemalloc.is_tracing()
-    if not tracing:
-        tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        build()
-        return tracemalloc.get_traced_memory()[1] - before
-    finally:
-        if not tracing:
-            tracemalloc.stop()
 
 
 @pytest.mark.parametrize("bank, bound", [("15% error", 14), ("error-free, 10x", 30)])

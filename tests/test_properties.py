@@ -300,10 +300,12 @@ noisy_reads = st.lists(
 
 
 def doubling_tail_examples(test):
-    """Lengths k + 2^j - 1, k + 2^j, k + 2^j + 1 for j < 5: a doubling step
-    that leaves out the last ``span`` entries spoils the final windows here."""
-    for k in (2, 3, 17, MAX_K):
-        for j in range(5):
+    """Lengths k + s - 1, k + s, k + s + 1 for s = 2^j up to 32, at k on both
+    sides of each half-word width (8 | 9, 16 | 17): a doubling step that
+    leaves out the last ``span`` entries, or a half from i + h that misses the
+    zero padding, spoils the final windows here."""
+    for k in (2, 3, 8, 9, 16, 17, MAX_K):
+        for j in range(6):
             for n in (k + 2**j - 1, k + 2**j, k + 2**j + 1):
                 test = example(seq=("ACGGTCAT" * 8)[:n], k=k)(test)
     return test
